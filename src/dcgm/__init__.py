@@ -77,10 +77,13 @@ from .schemes import (
     SchemeConfig,
     StepDiagnostics,
     StepError,
+    centered_prepare,
     centered_step,
+    dcgm_dirichlet_prepare,
     dcgm_dirichlet_step,
     dcgm_prepare,
     dcgm_step,
     pcgm_step,
+    supg_prepare,
     supg_step,
 )

@@ -38,6 +38,7 @@ from .schemes import (
     StepDiagnostics,
     centered_prepare,
     centered_step,
+    dcgm_dirichlet_prepare,
     dcgm_dirichlet_step,
     dcgm_prepare,
     dcgm_step,
@@ -166,42 +167,65 @@ def _resolve_config(params: BellParams, n_steps: int,
     return replace(config, nu=params.nu, dt=dt)
 
 
-def _run_steps(mesh: TriMesh, scheme: str, config: SchemeConfig,
-               u0: FieldP1, n_steps: int):
-    """Advance ``n_steps`` steps; returns final field, histories, diagnostics."""
+def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
+    """Operator and step function of ``scheme`` for the rotation field."""
     rot = rotation_field()
+    if scheme == "dcgm":
+        return dcgm_prepare(mesh, rot, config), dcgm_step
+    if scheme == "pcgm":
+        return dcgm_prepare(mesh, rot, config, dual=False), pcgm_step
+    if scheme == "supg":
+        return supg_prepare(mesh, rot, config), supg_step
+    if scheme == "centered":
+        return centered_prepare(mesh, rot, config), centered_step
+    raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+
+
+def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
+               boundary=None):
+    """Advance ``n_steps`` steps; returns final field, histories, diagnostics.
+
+    ``boundary(t)``, when given, supplies the imposed boundary values at each
+    step's end time (Dirichlet steps only).
+    """
     masses = [integral(u0)]
     norms = [nu_dt_norm(u0, config.nu, config.dt)]
     diags: list[StepDiagnostics] = []
     u = u0
-    if scheme == "dcgm":
-        op = dcgm_prepare(mesh, rot, config)
-        for _ in range(n_steps):
-            u, diag = dcgm_step(op, u)
-            diags.append(diag)
-            masses.append(diag.mass)
-            norms.append(nu_dt_norm(u, config.nu, config.dt))
-    elif scheme == "pcgm":
-        op = dcgm_prepare(mesh, rot, config, dual=False)
-        for _ in range(n_steps):
-            u = pcgm_step(mesh, rot, config, u, op=op)
-            masses.append(integral(u))
-            norms.append(nu_dt_norm(u, config.nu, config.dt))
-    elif scheme == "supg":
-        system = supg_prepare(mesh, rot, config)
-        for _ in range(n_steps):
-            u = supg_step(mesh, rot, config, u, system=system)
-            masses.append(integral(u))
-            norms.append(nu_dt_norm(u, config.nu, config.dt))
-    elif scheme == "centered":
-        system = centered_prepare(mesh, rot, config)
-        for _ in range(n_steps):
-            u = centered_step(mesh, rot, config, u, system=system)
-            masses.append(integral(u))
-            norms.append(nu_dt_norm(u, config.nu, config.dt))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    for n in range(1, n_steps + 1):
+        extra = {} if boundary is None else {"u_boundary": boundary(n * config.dt)}
+        # by keyword: perfbench's tracer reads the operator from kwargs["op"]
+        u, diag = step(op=op, u_prev=u, **extra)
+        diags.append(diag)
+        masses.append(diag.mass)
+        norms.append(nu_dt_norm(u, config.nu, config.dt))
     return u, np.array(masses), np.array(norms), diags
+
+
+def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
+            n_steps: int, run, exact, wall: float = 0.0) -> RunReport:
+    """Table row of a finished ``run`` (the tuple :func:`_run_steps`
+    returns); the error is measured against ``exact(x, y)``."""
+    u, masses, norms, diags = run
+    return RunReport(
+        scheme=scheme,
+        n_boundary=N,
+        n_vertices=mesh.nv,
+        n_steps=n_steps,
+        nu=config.nu,
+        dt=config.dt,
+        h_max=mesh.h_max,
+        min_value=float(u.coeffs.min()),
+        max_value=float(u.coeffs.max()),
+        mass=masses[-1],
+        initial_mass=masses[0],
+        l2_err=l2_error(u, exact, nine_point_rule()),
+        wall_time=wall,
+        mass_history=masses,
+        norm_history=norms,
+        diagnostics=diags,
+        final=u,
+    )
 
 
 def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
@@ -221,28 +245,11 @@ def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
     mesh = build_disk_mesh(N)
     u0 = interpolate(mesh, bell_at_time(params, 0.0))
     start = time.perf_counter()
-    u, masses, norms, diags = _run_steps(mesh, scheme, config, u0, n_steps)
+    op, step = _prepare(scheme, mesh, config)
+    run = _run_steps(op, step, config, u0, n_steps)
     wall = time.perf_counter() - start
-    err = l2_error(u, bell_at_time(params, params.T), nine_point_rule())
-    return RunReport(
-        scheme=scheme,
-        n_boundary=N,
-        n_vertices=mesh.nv,
-        n_steps=n_steps,
-        nu=config.nu,
-        dt=config.dt,
-        h_max=mesh.h_max,
-        min_value=float(u.coeffs.min()),
-        max_value=float(u.coeffs.max()),
-        mass=masses[-1],
-        initial_mass=masses[0],
-        l2_err=err,
-        wall_time=wall,
-        mass_history=masses,
-        norm_history=norms,
-        diagnostics=diags,
-        final=u,
-    )
+    return _report(scheme, N, mesh, config, n_steps, run,
+                   bell_at_time(params, params.T), wall)
 
 
 def exact_report(N: int, params: BellParams | None = None) -> RunReport:
@@ -250,28 +257,13 @@ def exact_report(N: int, params: BellParams | None = None) -> RunReport:
     the final time; its error column is the interpolation floor."""
     params = params or BellParams()
     n_steps = params.n_steps or max(1, N // 3)
+    config = _resolve_config(params, n_steps, None)
     mesh = build_disk_mesh(N)
-    u = interpolate(mesh, bell_at_time(params, params.T))
-    err = l2_error(u, bell_at_time(params, params.T), nine_point_rule())
-    mass = integral(u)
-    return RunReport(
-        scheme="exact",
-        n_boundary=N,
-        n_vertices=mesh.nv,
-        n_steps=n_steps,
-        nu=params.nu,
-        dt=params.T / n_steps,
-        h_max=mesh.h_max,
-        min_value=float(u.coeffs.min()),
-        max_value=float(u.coeffs.max()),
-        mass=mass,
-        initial_mass=mass,
-        l2_err=err,
-        wall_time=0.0,
-        mass_history=np.array([mass]),
-        norm_history=np.array([nu_dt_norm(u, params.nu, params.T / n_steps)]),
-        final=u,
-    )
+    exact = bell_at_time(params, params.T)
+    u = interpolate(mesh, exact)
+    run = (u, np.array([integral(u)]),
+           np.array([nu_dt_norm(u, config.nu, config.dt)]), [])
+    return _report("exact", N, mesh, config, n_steps, run, exact)
 
 
 def fit_order(h_values, errors) -> float:
@@ -336,28 +328,10 @@ def discontinuous_test(N: int = 200, config: SchemeConfig | None = None) -> RunR
 
     u0 = interpolate(mesh, indicator)
     start = time.perf_counter()
-    u, masses, norms, diags = _run_steps(mesh, "dcgm", config, u0, n_steps)
+    op, step = _prepare("dcgm", mesh, config)
+    run = _run_steps(op, step, config, u0, n_steps)
     wall = time.perf_counter() - start
-    err = l2_error(u, indicator, nine_point_rule())
-    return RunReport(
-        scheme="dcgm",
-        n_boundary=N,
-        n_vertices=mesh.nv,
-        n_steps=n_steps,
-        nu=config.nu,
-        dt=config.dt,
-        h_max=mesh.h_max,
-        min_value=float(u.coeffs.min()),
-        max_value=float(u.coeffs.max()),
-        mass=masses[-1],
-        initial_mass=masses[0],
-        l2_err=err,
-        wall_time=wall,
-        mass_history=masses,
-        norm_history=norms,
-        diagnostics=diags,
-        final=u,
-    )
+    return _report("dcgm", N, mesh, config, n_steps, run, indicator, wall)
 
 
 def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
@@ -371,39 +345,15 @@ def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
     n_steps = params.n_steps or max(1, N // 3)
     config = _resolve_config(params, n_steps, config)
     mesh = build_disk_mesh(N)
-    rot = rotation_field()
-    op = dcgm_prepare(mesh, rot, config)
-    u = interpolate(mesh, bell_at_time(params, 0.0))
-    masses = [integral(u)]
-    norms = [nu_dt_norm(u, config.nu, config.dt)]
-    bnd = mesh.boundary_vertices
+    u0 = interpolate(mesh, bell_at_time(params, 0.0))
+    rim = mesh.vertices[mesh.boundary_vertices]
     start = time.perf_counter()
-    for n in range(1, n_steps + 1):
-        t = n * config.dt
-        g = exact_bell(params, mesh.vertices[bnd], t)
-        u = dcgm_dirichlet_step(op, u, np.asarray(g), rot)
-        masses.append(integral(u))
-        norms.append(nu_dt_norm(u, config.nu, config.dt))
+    op = dcgm_dirichlet_prepare(mesh, rotation_field(), config)
+    run = _run_steps(op, dcgm_dirichlet_step, config, u0, n_steps,
+                     boundary=lambda t: exact_bell(params, rim, t))
     wall = time.perf_counter() - start
-    err = l2_error(u, bell_at_time(params, params.T), nine_point_rule())
-    return RunReport(
-        scheme="dcgm-dirichlet",
-        n_boundary=N,
-        n_vertices=mesh.nv,
-        n_steps=n_steps,
-        nu=config.nu,
-        dt=config.dt,
-        h_max=mesh.h_max,
-        min_value=float(u.coeffs.min()),
-        max_value=float(u.coeffs.max()),
-        mass=masses[-1],
-        initial_mass=masses[0],
-        l2_err=err,
-        wall_time=wall,
-        mass_history=np.array(masses),
-        norm_history=np.array(norms),
-        final=u,
-    )
+    return _report("dcgm-dirichlet", N, mesh, config, n_steps, run,
+                   bell_at_time(params, params.T), wall)
 
 
 def boundary_crossing_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:

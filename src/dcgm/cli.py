@@ -231,10 +231,10 @@ def cmd_compare(args, out: Path) -> dict:
         _print_row(report)
         rows.append(_table_row(report))
         _write_cut_csv(out / f"cut{args.N}_{report.scheme}.csv", report)
+        if report.diagnostics:
+            _write_diag_csv(out / f"diag_{report.scheme}_{args.N}.csv", report)
         if report.scheme == "dcgm":
             _write_cut_csv(out / f"cut{args.N}.csv", report)
-            if report.diagnostics:
-                _write_diag_csv(out / f"diag_dcgm_{args.N}.csv", report)
     _write(out / "table2.csv", rows)
     return {"table": "table2.csv"}
 

@@ -34,12 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .characteristics import VelocityField, build_traced_points
-from .fem import FieldP1, assemble_local, assemble_mass, basis_gradients, integral, interpolate
+from .characteristics import VelocityField
+from .fem import FieldP1, assemble_local, basis_gradients, integral, interpolate
 from .linalg import SparseMatrix
 from .mesh import TriMesh, build_rect_mesh
 from .quadrature import QuadratureRule, nine_point_rule
-from .schemes import DcgmOperator, StepDiagnostics, dcgm_step
+from .schemes import SchemeConfig, StepDiagnostics, dcgm_prepare, dcgm_step
 
 __all__ = [
     "HestonParams",
@@ -200,12 +200,13 @@ class HestonStep:
     def csv_row(self, step: int) -> str:
         return (
             f"{step},{self.diag.mass:.17g},{self.diag.min_value:.17g},"
-            f"{self.diag.max_value:.17g},{self.price:.17g}"
+            f"{self.diag.max_value:.17g},{self.price:.17g},"
+            f"{self.boundary_mass:.17g}"
         )
 
     @staticmethod
     def csv_header() -> str:
-        return "step,mass,min,max,price"
+        return "step,mass,min,max,price,boundary_mass"
 
 
 def _initial_density(mesh: TriMesh, params: HestonParams) -> FieldP1:
@@ -242,21 +243,11 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
         raise ValueError("need at least one time step")
     mesh = build_rect_mesh(nx, ny, params.x_max, params.y_max)
     tensor = heston_operator(params)
-    dt = params.T / n_steps
     rule = nine_point_rule()
-
-    traced = build_traced_points(mesh, tensor.drift, rule, dt, sigma=1.0)
-    mass = assemble_mass(mesh)
+    # nu = 1: the tensor stiffness carries the diffusion coefficients
+    config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=solver_tol)
     stiffness = assemble_tensor_stiffness(mesh, tensor.diffusion, rule)
-    op = DcgmOperator(
-        mesh=mesh,
-        mass=mass,
-        system=mass + dt * stiffness,
-        traced=traced,
-        dt=dt,
-        dual=True,
-        solver_tol=solver_tol,
-    )
+    op = dcgm_prepare(mesh, tensor.drift, config, stiffness=stiffness)
 
     u = _initial_density(mesh, params)
     steps: list[HestonStep] = []
@@ -264,7 +255,7 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     for k in range(1, n_steps + 1):
         u, diag = dcgm_step(op, u)
         price = put_price(u, params.strike, rule)
-        leak = boundary_mass(u, mass)
+        leak = boundary_mass(u, op.mass)
         steps.append(HestonStep(diag=diag, price=price, boundary_mass=leak))
         if not warned_neg and diag.min_value < -1e-6:
             warnings.warn(

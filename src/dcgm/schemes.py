@@ -4,17 +4,23 @@ All schemes advance the implicit-diffusion problem
 
     (u^n - transported u^{n-1}) / dt = nu Laplacian(u^n)
 
-and differ in how the transport is discretized:
+With a steady velocity field and a fixed dt each scheme is one linear map,
+``lhs u^n = rhs_mat u^{n-1}``, whose two sparse matrices a ``*_prepare``
+function builds once.  Every step is then ``step(op, u_prev)`` and returns
+the new field with its :class:`StepDiagnostics`.  The schemes differ in the
+transport matrix ``rhs_mat``:
 
 * dual characteristic scheme: test functions are pushed forward along the
-  flow; the right-hand side scatters each quadrature node's mass onto the
-  vertices of the triangle its forward image lands in.  Because the clamped
-  barycentric weights of each image sum to one, total mass is conserved to
-  solver tolerance.
+  flow, rhs_mat = P_fwd^T W P_src.  Row q of P_src holds the barycentric
+  weights of quadrature node q in its own triangle, row q of P_fwd those of
+  its forward image, and W is diagonal with the node weights.  The clamped
+  weights of each image sum to one, so the column sums of rhs_mat equal
+  those of the mass matrix and total mass is conserved to solver tolerance.
 * primal characteristic scheme: the previous solution is evaluated at the
-  backward image of each quadrature node (accurate, not conservative).
-* streamline-upwind and centered Galerkin: Eulerian one-matrix schemes,
-  assembled here with velocity terms integrated by the mid-edge rule.
+  backward image of each quadrature node, rhs_mat = P_src^T W P_bwd
+  (accurate, not conservative).
+* streamline-upwind and centered Galerkin: Eulerian schemes, assembled here
+  with velocity terms integrated by the mid-edge rule.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ __all__ = [
     "DcgmOperator",
     "dcgm_prepare",
     "dcgm_step",
+    "DirichletOperator",
+    "dcgm_dirichlet_prepare",
     "dcgm_dirichlet_step",
     "pcgm_step",
     "AdvectionSystem",
@@ -121,116 +129,118 @@ class StepDiagnostics:
 
 @dataclass(eq=False)
 class DcgmOperator:
-    """Cached state for characteristic steps with a time-independent field.
+    """Characteristic step ``lhs u^n = rhs_mat u^{n-1}`` for a steady field.
 
-    Holds the SPD system matrix (mass + nu dt stiffness), the plain mass
-    matrix, and the traced quadrature nodes.  ``dual=True`` runs the
-    conservative forward-image scatter; ``dual=False`` the primal
-    backward-image gather.
+    ``lhs`` is the SPD matrix mass + nu dt stiffness.  ``rhs_mat`` is the
+    transport: the conservative forward-image scatter P_fwd^T W P_src when
+    ``dual`` is set, the primal backward-image gather P_src^T W P_bwd
+    otherwise.  ``traced`` keeps the located images both were built from.
     """
 
     mesh: TriMesh
     mass: SparseMatrix
-    system: SparseMatrix
+    lhs: SparseMatrix
+    rhs_mat: SparseMatrix
     traced: TracedPoints
-    dt: float
-    dual: bool = True
+    dual: bool
+    projected_fraction: float
     solver_tol: float = 1e-13
     solver_max_iter: int | None = None
 
 
+def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
+                          bary: np.ndarray) -> sp.csr_matrix:
+    """Point values from vertex values: row q holds the barycentric weights
+    ``bary[q]`` at the three vertices of triangle ``tri[q]``."""
+    n = tri.shape[0]
+    return sp.csr_matrix(
+        (bary.ravel(), mesh.triangles[tri].ravel(), np.arange(0, 3 * n + 1, 3)),
+        shape=(n, mesh.nv),
+    )
+
+
 def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
-                 dual: bool = True) -> DcgmOperator:
-    """Assemble the step operator once for reuse across time steps."""
+                 dual: bool = True,
+                 stiffness: SparseMatrix | None = None) -> DcgmOperator:
+    """Trace the quadrature nodes and build both matrices of the step once.
+
+    ``stiffness`` replaces the constant-coefficient stiffness matrix (an
+    anisotropic one, say); it is scaled by nu dt all the same.
+    """
     rule = rule_by_name(config.quadrature)
-    traced = build_traced_points(mesh, field, rule, config.dt, config.sigma)
+    tp = build_traced_points(mesh, field, rule, config.dt, config.sigma)
     mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    system = mass + (config.nu * config.dt) * stiffness
+    if stiffness is None:
+        stiffness = assemble_stiffness(mesh)
+    src = _interpolation_matrix(mesh, tp.src_tri, tp.src_bary)
+    weights = sp.diags(tp.weights)
+    if dual:
+        fwd = _interpolation_matrix(mesh, tp.fwd_tri, tp.fwd_bary)
+        rhs_mat = fwd.T @ weights @ src
+        fraction = tp.fwd_projected_fraction
+    else:
+        bwd = _interpolation_matrix(mesh, tp.bwd_tri, tp.bwd_bary)
+        rhs_mat = src.T @ weights @ bwd
+        fraction = tp.bwd_projected_fraction
     return DcgmOperator(
         mesh=mesh,
         mass=mass,
-        system=system,
-        traced=traced,
-        dt=config.dt,
+        lhs=mass + (config.nu * config.dt) * stiffness,
+        rhs_mat=SparseMatrix(rhs_mat),
+        traced=tp,
         dual=dual,
+        projected_fraction=fraction,
         solver_tol=config.solver_tol,
         solver_max_iter=config.solver_max_iter,
     )
 
 
-def _values_at(coeffs: np.ndarray, mesh: TriMesh, tri: np.ndarray,
-               bary: np.ndarray) -> np.ndarray:
-    c = coeffs[mesh.triangles[tri]]
-    return np.einsum("pi,pi->p", c, bary)
+def _advance(op, u_prev: FieldP1, solve, label: str, g=None):
+    """Solve ``op.lhs x = op.rhs_mat @ u_prev`` warm-started from u_prev;
+    returns the new field and its diagnostics.
 
-
-def _dual_rhs(op: DcgmOperator, coeffs: np.ndarray) -> np.ndarray:
-    """Scatter: each node carries weight * u_prev(source) onto the vertices
-    of its forward image's triangle, split by barycentric weights."""
-    tp = op.traced
-    u_src = _values_at(coeffs, op.mesh, tp.src_tri, tp.src_bary)
-    carried = tp.weights * u_src
-    verts = op.mesh.triangles[tp.fwd_tri]  # (n, 3)
-    vals = carried[:, None] * tp.fwd_bary
-    return np.bincount(verts.ravel(), weights=vals.ravel(), minlength=op.mesh.nv)
-
-
-def _primal_rhs(op: DcgmOperator, coeffs: np.ndarray) -> np.ndarray:
-    """Gather: evaluate u_prev at each node's backward image and scatter with
-    the node's own (source) basis values."""
-    tp = op.traced
-    u_back = _values_at(coeffs, op.mesh, tp.bwd_tri, tp.bwd_bary)
-    carried = tp.weights * u_back
-    verts = op.mesh.triangles[tp.src_tri]
-    vals = carried[:, None] * tp.src_bary
-    return np.bincount(verts.ravel(), weights=vals.ravel(), minlength=op.mesh.nv)
-
-
-def dcgm_step(op: DcgmOperator, u_prev: FieldP1):
-    """One characteristic step; returns the new field and its diagnostics."""
+    With imposed values ``g`` (a vertex vector; Dirichlet operators only) the
+    unknowns are ``op.interior``: ``op.coupling`` moves g to the right-hand
+    side and g fills the boundary entries of the result.
+    """
     if u_prev.mesh is not op.mesh:
         raise ValueError("field lives on a different mesh than the operator")
-    rhs = _dual_rhs(op, u_prev.coeffs) if op.dual else _primal_rhs(op, u_prev.coeffs)
-    x, report = cg_solve(
-        op.system,
-        rhs,
-        tol=op.solver_tol,
-        max_iter=op.solver_max_iter,
-        jacobi=True,
-        x0=u_prev.coeffs,
-    )
+    rhs = op.rhs_mat @ u_prev.coeffs
+    x0 = u_prev.coeffs
+    if g is not None:
+        rhs = rhs - op.coupling @ g[op.boundary]
+        x0 = x0[op.interior]
+    x, report = solve(op.lhs, rhs, tol=op.solver_tol,
+                      max_iter=op.solver_max_iter, jacobi=True, x0=x0)
     if not report.converged:
-        raise StepError("characteristic step solve failed", report)
+        raise StepError(f"{label} step solve failed", report)
+    if g is not None:
+        full = g.copy()
+        full[op.interior] = x
+        x = full
     u_new = FieldP1(op.mesh, x)
-    tp = op.traced
-    frac = tp.fwd_projected_fraction if op.dual else tp.bwd_projected_fraction
     diag = StepDiagnostics(
         mass=integral(u_new),
         min_value=float(x.min()),
         max_value=float(x.max()),
         solver=report,
-        projected_fraction=frac,
+        projected_fraction=op.projected_fraction,
     )
     return u_new, diag
 
 
-def pcgm_step(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
-              u_prev: FieldP1, op: DcgmOperator | None = None) -> FieldP1:
-    """Primal characteristic step (backward gather; not conservative).
+def dcgm_step(op: DcgmOperator, u_prev: FieldP1):
+    """One conservative characteristic step (forward-image scatter)."""
+    if not op.dual:
+        raise ValueError("dcgm_step needs a dual operator; use pcgm_step")
+    return _advance(op, u_prev, cg_solve, "characteristic")
 
-    Pass a prepared operator to amortize tracing and assembly across steps.
-    """
-    if op is None:
-        op = dcgm_prepare(mesh, field, config, dual=False)
-    rhs = _primal_rhs(op, u_prev.coeffs)
-    x, report = cg_solve(
-        op.system, rhs, tol=op.solver_tol, max_iter=op.solver_max_iter,
-        jacobi=True, x0=u_prev.coeffs,
-    )
-    if not report.converged:
-        raise StepError("primal characteristic step solve failed", report)
-    return FieldP1(mesh, x)
+
+def pcgm_step(op: DcgmOperator, u_prev: FieldP1):
+    """One primal characteristic step (backward gather; not conservative)."""
+    if op.dual:
+        raise ValueError("pcgm_step needs an operator prepared with dual=False")
+    return _advance(op, u_prev, cg_solve, "primal characteristic")
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +273,15 @@ def _advection_matrices(mesh: TriMesh, field: VelocityField):
 
 @dataclass(eq=False)
 class AdvectionSystem:
-    """Cached matrices for the Eulerian schemes: lhs u^n = rhs_mat u^{n-1}."""
+    """Eulerian step ``lhs u^n = rhs_mat u^{n-1}``; no point is traced, so
+    none is projected."""
 
+    mesh: TriMesh
     lhs: SparseMatrix
     rhs_mat: SparseMatrix
     solver_tol: float
     solver_max_iter: int | None
+    projected_fraction: float = 0.0
 
 
 def supg_prepare(mesh: TriMesh, field: VelocityField,
@@ -285,7 +298,8 @@ def supg_prepare(mesh: TriMesh, field: VelocityField,
     alpha = config.supg_alpha
     base = mass + alpha * conv.transpose()
     lhs = base + config.dt * (conv + alpha * stream + config.nu * stiffness)
-    return AdvectionSystem(lhs, base, config.solver_tol, config.solver_max_iter)
+    return AdvectionSystem(mesh, lhs, base, config.solver_tol,
+                          config.solver_max_iter)
 
 
 def centered_prepare(mesh: TriMesh, field: VelocityField,
@@ -308,7 +322,8 @@ def centered_prepare(mesh: TriMesh, field: VelocityField,
     stiffness = assemble_stiffness(mesh)
     conv, _ = _advection_matrices(mesh, field)
     lhs = mass + config.dt * (conv + config.nu * stiffness)
-    return AdvectionSystem(lhs, mass, config.solver_tol, config.solver_max_iter)
+    return AdvectionSystem(mesh, lhs, mass, config.solver_tol,
+                          config.solver_max_iter)
 
 
 def cfl_dt_guideline(mesh: TriMesh, nu: float) -> float:
@@ -316,32 +331,14 @@ def cfl_dt_guideline(mesh: TriMesh, nu: float) -> float:
     return mesh.h_max**2 / (2.0 * nu)
 
 
-def _eulerian_step(system: AdvectionSystem, mesh: TriMesh,
-                   u_prev: FieldP1, label: str) -> FieldP1:
-    rhs = system.rhs_mat @ u_prev.coeffs
-    x, report = bicgstab_solve(
-        system.lhs, rhs, tol=system.solver_tol,
-        max_iter=system.solver_max_iter, jacobi=True, x0=u_prev.coeffs,
-    )
-    if not report.converged:
-        raise StepError(f"{label} step solve failed", report)
-    return FieldP1(mesh, x)
-
-
-def supg_step(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
-              u_prev: FieldP1, system: AdvectionSystem | None = None) -> FieldP1:
+def supg_step(op: AdvectionSystem, u_prev: FieldP1):
     """One implicit streamline-upwind step."""
-    if system is None:
-        system = supg_prepare(mesh, field, config)
-    return _eulerian_step(system, mesh, u_prev, "streamline-upwind")
+    return _advance(op, u_prev, bicgstab_solve, "streamline-upwind")
 
 
-def centered_step(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
-                  u_prev: FieldP1, system: AdvectionSystem | None = None) -> FieldP1:
+def centered_step(op: AdvectionSystem, u_prev: FieldP1):
     """One implicit centered-convection step (no stabilization)."""
-    if system is None:
-        system = centered_prepare(mesh, field, config)
-    return _eulerian_step(system, mesh, u_prev, "centered")
+    return _advance(op, u_prev, bicgstab_solve, "centered")
 
 
 # ----------------------------------------------------------------------
@@ -379,47 +376,71 @@ def _boundary_flux_matrix(mesh: TriMesh, field: VelocityField) -> SparseMatrix:
     return SparseMatrix(csr)
 
 
-def dcgm_dirichlet_step(op: DcgmOperator, u_prev: FieldP1, u_boundary,
-                        field: VelocityField) -> FieldP1:
+@dataclass(eq=False)
+class DirichletOperator:
     """Characteristic step with strongly imposed boundary values.
+
+    The unknowns are the interior vertices: ``lhs`` is the interior block of
+    the flux-corrected system matrix, ``rhs_mat`` the interior rows of the
+    dual transport, and ``coupling`` the interior-by-boundary block that
+    carries the imposed values into the right-hand side.
+    """
+
+    mesh: TriMesh
+    lhs: SparseMatrix
+    rhs_mat: sp.csr_matrix
+    coupling: sp.csr_matrix
+    interior: np.ndarray
+    boundary: np.ndarray
+    projected_fraction: float
+    solver_tol: float
+    solver_max_iter: int | None
+
+
+def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
+                           config: SchemeConfig) -> DirichletOperator:
+    """Build the constrained characteristic system once.
 
     The system matrix receives the boundary correction -dt B with
     B_ij = int (a.n) phi_i phi_j over the boundary, then boundary rows are
     constrained to the supplied values and the interior block (still SPD) is
     solved.  Experimental: the plain scheme without this correction performs
     better in practice, and the discrepancy is left visible.
+    """
+    op = dcgm_prepare(mesh, field, config)
+    matrix = (op.lhs - config.dt * _boundary_flux_matrix(mesh, field)).csr
+    interior = mesh.interior_vertices
+    boundary = mesh.boundary_vertices
+    rows = matrix[interior]
+    return DirichletOperator(
+        mesh=mesh,
+        lhs=SparseMatrix(rows[:, interior]),
+        rhs_mat=op.rhs_mat.csr[interior],
+        coupling=rows[:, boundary],
+        interior=interior,
+        boundary=boundary,
+        projected_fraction=op.projected_fraction,
+        solver_tol=config.solver_tol,
+        solver_max_iter=config.solver_max_iter,
+    )
+
+
+def dcgm_dirichlet_step(op: DirichletOperator, u_prev: FieldP1, u_boundary):
+    """One characteristic step with the boundary pinned to ``u_boundary``.
 
     ``u_boundary`` may be a scalar, a full vertex vector, or one value per
-    entry of ``mesh.boundary_vertices``.
+    entry of ``op.boundary``.
     """
-    mesh = op.mesh
-    bnd = mesh.boundary_vertices
-    g = np.zeros(mesh.nv)
+    bnd = op.boundary
+    g = np.zeros(op.mesh.nv)
     ub = np.asarray(u_boundary, dtype=float)
     if ub.ndim == 0:
         g[bnd] = float(ub)
-    elif ub.shape == (mesh.nv,):
+    elif ub.shape == (op.mesh.nv,):
         g[bnd] = ub[bnd]
     elif ub.shape == bnd.shape:
         g[bnd] = ub
     else:
         raise ValueError("boundary data must be scalar, per-vertex, or "
                          "per-boundary-vertex")
-
-    matrix = (op.system - op.dt * _boundary_flux_matrix(mesh, field)).csr
-    rhs = _dual_rhs(op, u_prev.coeffs) if op.dual else _primal_rhs(op, u_prev.coeffs)
-
-    interior = mesh.interior_vertices
-    a_ii = SparseMatrix(matrix[interior][:, interior])
-    a_ib = matrix[interior][:, bnd]
-    rhs_i = rhs[interior] - a_ib @ g[bnd]
-    x0 = u_prev.coeffs[interior]
-    xi, report = cg_solve(
-        a_ii, rhs_i, tol=op.solver_tol, max_iter=op.solver_max_iter,
-        jacobi=True, x0=x0,
-    )
-    if not report.converged:
-        raise StepError("constrained characteristic step solve failed", report)
-    out = g.copy()
-    out[interior] = xi
-    return FieldP1(mesh, out)
+    return _advance(op, u_prev, cg_solve, "constrained characteristic", g)

@@ -65,13 +65,21 @@ def test_bell_deterministic_artifacts(tmp_path):
 
 
 def test_compare_subcommand(tmp_path):
-    out = tmp_path / "c"
-    assert run_cli(["--out", str(out), "compare", "--N", "60"]) == 0
+    outs = [tmp_path / "c1", tmp_path / "c2"]
+    for out in outs:
+        assert run_cli(["--out", str(out), "compare", "--N", "60"]) == 0
+    out = outs[0]
     table = (out / "table2.csv").read_text().strip().splitlines()
     assert len(table) == 6  # header + four schemes + exact row
     schemes = [line.split(",")[0] for line in table[1:]]
     assert schemes == ["dcgm", "pcgm", "supg", "centered", "exact"]
     assert (out / "cut60_supg.csv").exists()
+    # every scheme row writes its step diagnostics; the exact row has none
+    for scheme in schemes[:-1]:
+        assert (out / f"diag_{scheme}_60.csv").exists(), scheme
+    assert not (out / "diag_exact_60.csv").exists()
+    for name in ("table2.csv", "diag_supg_60.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_convergence_subcommand(tmp_path):
@@ -99,7 +107,7 @@ def test_heston_subcommand(tmp_path):
                     "--steps", "3", "--T", "0.5"])
     assert code == 0
     diag = (out / "heston_diag.csv").read_text().strip().splitlines()
-    assert diag[0] == "step,mass,min,max,price"
+    assert diag[0] == "step,mass,min,max,price,boundary_mass"
     assert len(diag) == 4
     for line in diag[1:]:
         assert abs(float(line.split(",")[1]) - 1.0) < 1e-6

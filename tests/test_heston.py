@@ -193,4 +193,4 @@ def test_step_rows_format():
         _, steps, _ = heston_run(HestonParams(T=0.1), 20, 20, 2)
     row = steps[0].csv_row(1)
     assert row.startswith("1,")
-    assert row.count(",") == 4
+    assert row.count(",") == steps[0].csv_header().count(",") == 5
