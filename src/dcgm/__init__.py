@@ -56,7 +56,6 @@ from .heston import (
 from .linalg import SolveReport, SparseMatrix, assemble_from_triplets, bicgstab_solve, cg_solve
 from .mesh import (
     TriMesh,
-    TriangleWalker,
     build_disk_mesh,
     build_rect_mesh,
     load_mesh,

@@ -31,7 +31,7 @@ from .fem import (
     l2_error,
     nu_dt_norm,
 )
-from .mesh import TriMesh, TriangleWalker, build_disk_mesh
+from .mesh import TriMesh, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
 from .schemes import (
     SchemeConfig,
@@ -372,16 +372,11 @@ def cross_section(field: FieldP1, n_samples: int = 201):
         float(field.mesh.vertices[:, 0].max()),
         n_samples,
     )
-    walker = TriangleWalker(field.mesh)
-    out = []
-    for x in xs:
-        hit = walker.locate((x, 0.0))
-        if hit is None:
-            continue
-        tri, lam = hit
-        verts = field.mesh.triangles[tri]
-        out.append((float(x), float(field.coeffs[verts] @ lam)))
-    return out
+    tri, lam = locate_point(field.mesh, np.column_stack([xs, np.zeros_like(xs)]))
+    keep = tri >= 0
+    coeffs = field.coeffs[field.mesh.triangles[tri[keep]]]
+    values = (coeffs[:, None, :] @ lam[keep][:, :, None])[:, 0, 0]
+    return [(float(x), float(u)) for x, u in zip(xs[keep], values)]
 
 
 def stability_constant(report: RunReport) -> float:

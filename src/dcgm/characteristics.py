@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import TriMesh, _locate_batch, project_to_domain
+from .mesh import TriMesh, locate_point, project_to_domain
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -151,12 +151,12 @@ class TracedPoints:
 
 
 def _locate_with_projection(mesh: TriMesh, points: np.ndarray, hints: np.ndarray):
-    tri, bary = _locate_batch(mesh, points, hints)
+    tri, bary = locate_point(mesh, points, hints)
     outside = np.flatnonzero(tri < 0)
     projected = np.zeros(points.shape[0], dtype=bool)
     if outside.size:
-        pulled = np.array([project_to_domain(mesh, points[i]) for i in outside])
-        tri2, bary2 = _locate_batch(mesh, pulled, hints[outside])
+        pulled = project_to_domain(mesh, points[outside])
+        tri2, bary2 = locate_point(mesh, pulled, hints[outside])
         if np.any(tri2 < 0):
             raise RuntimeError("projected characteristic endpoint not locatable")
         tri[outside] = tri2

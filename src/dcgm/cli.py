@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_parse_sizes, default=[200],
                    help="comma-separated disk sizes, e.g. 100,200,400")
     p.add_argument("--dirichlet", action="store_true",
-                   help="experimental strongly-imposed boundary variant")
+                   help="experimental strongly-imposed boundary variant "
+                        "(dcgm scheme only)")
     _add_bell_flags(p)
     p.set_defaults(func=cmd_bell)
 
@@ -301,6 +302,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "dirichlet", False) and args.scheme != "dcgm":
+            parser.error(f"--dirichlet runs the dcgm scheme only, not {args.scheme}")
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)

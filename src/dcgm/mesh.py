@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "TriMesh",
-    "TriangleWalker",
     "build_disk_mesh",
     "build_rect_mesh",
     "save_mesh",
@@ -109,6 +108,13 @@ class TriMesh:
         self._bary_rows = rows
 
         self.neighbors = self._build_neighbors()
+        # triangles around each vertex: _vertex_tris[_vertex_start[v]:
+        # _vertex_start[v + 1]], for the location tie-break
+        flat = self.triangles.ravel()
+        self._vertex_tris = np.argsort(flat, kind="stable") // 3
+        self._vertex_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(flat, minlength=self.nv))]
+        )
         self.is_boundary_vertex = np.zeros(self.nv, dtype=bool)
         if self.boundary_edges.size:
             self.is_boundary_vertex[self.boundary_edges.ravel()] = True
@@ -172,7 +178,10 @@ class TriMesh:
         rows = self._bary_rows[t]
         l1 = rows[:, 0, 0] * d[:, 0] + rows[:, 0, 1] * d[:, 1]
         l2 = rows[:, 1, 0] * d[:, 0] + rows[:, 1, 1] * d[:, 1]
-        lam = np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+        lam = np.empty((t.size, 3))
+        lam[:, 0] = 1.0 - l1 - l2
+        lam[:, 1] = l1
+        lam[:, 2] = l2
         return lam[0] if scalar else lam
 
     # ------------------------------------------------------------------
@@ -233,12 +242,16 @@ class TriMesh:
 # ----------------------------------------------------------------------
 # point location
 
+# outside points handled at once by project_to_domain; bounds the
+# (chunk, nbe) temporaries of the nearest-segment search
+_PROJECT_CHUNK = 256
+
 
 def _scan_for_point(mesh: TriMesh, point: np.ndarray):
     """Lowest-index triangle containing ``point``, or None.
 
-    Brute force over all triangles; used as the deterministic tie-break and
-    as the fallback when the edge walk gives up.
+    Brute force over all triangles; the fallback when the edge walk steps
+    off a non-convex boundary or runs out of rounds.
     """
     d = point[None, :] - mesh._v0
     rows = mesh._bary_rows
@@ -253,152 +266,114 @@ def _scan_for_point(mesh: TriMesh, point: np.ndarray):
     return k, np.array([l0[k], l1[k], l2[k]])
 
 
-def _clamp_bary(lam: np.ndarray) -> np.ndarray:
-    """Clip to [0, 1] and renormalize so the coordinates sum to one."""
-    lam = np.clip(lam, 0.0, 1.0)
-    return lam / lam.sum()
+def _lowest_containing(mesh: TriMesh, points: np.ndarray, tris: np.ndarray):
+    """Lowest-index triangle containing each point, among the triangles that
+    share a vertex with ``tris`` (which must contain the points)."""
+    corners = mesh.triangles[tris].ravel()
+    first = mesh._vertex_start[corners]
+    count = mesh._vertex_start[corners + 1] - first
+    owner = np.repeat(np.arange(tris.size).repeat(3), count)
+    # slots first .. first + count - 1 of every corner, one after another
+    ends = np.cumsum(count)
+    slots = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
+    cand = mesh._vertex_tris[slots]
+    ok = mesh.barycentric(cand, points[owner]).min(axis=1) >= -_BARY_TOL
+    best = tris.copy()
+    np.minimum.at(best, owner[ok], cand[ok])
+    return best
 
 
-def locate_point(mesh: TriMesh, point, hint: int | None = None):
+def locate_point(mesh: TriMesh, point, hint=None):
     """Find the triangle containing ``point``.
 
-    Returns ``(triangle_index, barycentric)`` with the coordinates clamped to
-    the closed triangle and summing to one, or ``None`` when the point lies
-    outside the mesh.  The result does not depend on ``hint``: a point within
-    tolerance of an edge is resolved by a full scan that always reports the
-    lowest containing triangle index.
+    For one point (shape (2,)) returns ``(triangle_index, barycentric)`` or
+    ``None`` when the point lies outside the mesh.  For a batch (m, 2)
+    returns ``(tris, bary)`` with ``tris[i] = -1`` for outside points.
+    ``hint`` is the starting triangle of the walk, one for all points or one
+    per point.  Coordinates are clamped to the closed triangle and sum to
+    one.  The result does not depend on ``hint``: a point within tolerance
+    of an edge is reported in the lowest-index triangle that contains it.
     """
-    point = np.asarray(point, dtype=float).reshape(2)
-    k = 0 if hint is None else int(hint)
-    if not 0 <= k < mesh.nt:
-        k = 0
-    max_steps = 4 * mesh.nt
-    for _ in range(max_steps):
-        lam = mesh.barycentric(k, point)
-        j = int(np.argmin(lam))
-        if lam[j] >= -_BARY_TOL:
-            if lam[j] <= _BARY_TOL:
-                # on or next to an edge: several triangles may accept the
-                # point, so make the answer hint-independent
-                hit = _scan_for_point(mesh, point)
-                if hit is None:
-                    return None
-                return hit[0], _clamp_bary(hit[1])
-            return k, _clamp_bary(lam)
-        nxt = int(mesh.neighbors[k, j])
-        if nxt < 0:
-            if mesh.convex:
-                # beyond a boundary edge line of a convex domain
-                return None
-            break
-        k = nxt
-    hit = _scan_for_point(mesh, point)
-    if hit is None:
-        return None
-    return hit[0], _clamp_bary(hit[1])
-
-
-def _locate_batch(mesh: TriMesh, points: np.ndarray, hints: np.ndarray):
-    """Vectorized edge walk for many points.
-
-    Parameters
-    ----------
-    points : ndarray (m, 2)
-    hints : ndarray (m,)
-        Starting triangle per point (the walk is short when hints are near).
-
-    Returns
-    -------
-    tris : ndarray (m,) int
-        Containing triangle, or -1 for points outside the mesh.
-    bary : ndarray (m, 3)
-        Clamped barycentric coordinates (unspecified for outside points).
-
-    Unlike :func:`locate_point` no tie-break scan is applied on edge hits;
-    with fixed hints the walk itself is deterministic.
-    """
-    m = points.shape[0]
-    tri = np.array(hints, dtype=np.int64).copy()
-    tri[(tri < 0) | (tri >= mesh.nt)] = 0
+    pts = np.asarray(point, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    m = pts.shape[0]
+    start = 0 if hint is None else hint
+    cur = np.array(np.broadcast_to(start, (m,)), dtype=np.int64)
+    cur[(cur < 0) | (cur >= mesh.nt)] = 0
+    tri = np.full(m, -1, dtype=np.int64)
     bary = np.zeros((m, 3))
-    state = np.zeros(m, dtype=np.int8)  # 0 walking, 1 found, 2 outside, 3 stuck
+    stuck = []
     active = np.arange(m)
-    max_rounds = 4 * mesh.nt
-    for _ in range(max_rounds):
+    for _ in range(4 * mesh.nt):
         if active.size == 0:
             break
-        lam = mesh.barycentric(tri[active], points[active])
-        j = np.argmin(lam, axis=1)
-        lmin = lam[np.arange(active.size), j]
-        done = lmin >= -_BARY_TOL
-        idx_done = active[done]
-        bary[idx_done] = lam[done]
-        state[idx_done] = 1
-        moving = ~done
-        idx_mov = active[moving]
-        nxt = mesh.neighbors[tri[idx_mov], j[moving]]
+        lam = mesh.barycentric(cur, pts[active])
+        j = lam.argmin(axis=1)
+        done = lam.min(axis=1) >= -_BARY_TOL
+        if done.any():
+            tri[active[done]] = cur[done]
+            bary[active[done]] = lam[done]
+            active, cur, j = active[~done], cur[~done], j[~done]
+        nxt = mesh.neighbors[cur, j]
         off = nxt < 0
-        if np.any(off):
-            idx_off = idx_mov[off]
-            if mesh.convex:
-                state[idx_off] = 2
-            else:
-                state[idx_off] = 3
-        ok = ~off
-        tri[idx_mov[ok]] = nxt[ok]
-        active = idx_mov[ok]
-    state[active] = 3  # ran out of rounds
-    for i in np.flatnonzero(state == 3):
-        hit = _scan_for_point(mesh, points[i])
-        if hit is None:
-            state[i] = 2
-        else:
+        if off.any():
+            if not mesh.convex:
+                # stepping off the boundary of a non-convex domain proves nothing
+                stuck.append(active[off])
+            active, nxt = active[~off], nxt[~off]
+        cur = nxt
+    stuck.append(active)  # ran out of rounds
+    for i in np.concatenate(stuck):
+        hit = _scan_for_point(mesh, pts[i])
+        if hit is not None:
             tri[i], bary[i] = hit
-            state[i] = 1
-    found = state == 1
+    # several triangles accept a point on or next to an edge: report the
+    # lowest index so the answer does not depend on where the walk came from
+    edge = np.flatnonzero((tri >= 0) & (bary.min(axis=1) <= _BARY_TOL))
+    if edge.size:
+        tri[edge] = _lowest_containing(mesh, pts[edge], tri[edge])
+        bary[edge] = mesh.barycentric(tri[edge], pts[edge])
+    found = tri >= 0
     bary[found] = np.clip(bary[found], 0.0, 1.0)
     bary[found] /= bary[found].sum(axis=1, keepdims=True)
-    tri[~found] = -1
+    if single:
+        return (int(tri[0]), bary[0]) if found[0] else None
     return tri, bary
-
-
-class TriangleWalker:
-    """Point locator that remembers the last containing triangle.
-
-    Successive queries along a path (cross sections, sampled curves) then
-    start the walk next door, which keeps location close to O(1) per query.
-    """
-
-    def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        self._last = 0
-
-    def locate(self, point):
-        hit = locate_point(self.mesh, point, hint=self._last)
-        if hit is not None:
-            self._last = hit[0]
-        return hit
 
 
 def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
     """Closest point of the closed meshed domain.
 
+    Accepts one point (2,) or a batch (m, 2) and returns the same shape.
     Points already in the mesh are returned unchanged; outside points are
     pulled to the nearest location on the boundary polyline.
     """
-    point = np.asarray(point, dtype=float).reshape(2)
-    if locate_point(mesh, point) is not None:
-        return point.copy()
+    pts = np.asarray(point, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    out = pts.copy()
+    tri, _ = locate_point(mesh, pts)
+    outside = np.flatnonzero(tri < 0)
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
     b = mesh.vertices[mesh.boundary_edges[:, 1]]
     ab = b - a
     denom = ab[:, 0] ** 2 + ab[:, 1] ** 2
     denom[denom == 0.0] = 1.0
-    t = ((point[0] - a[:, 0]) * ab[:, 0] + (point[1] - a[:, 1]) * ab[:, 1]) / denom
-    t = np.clip(t, 0.0, 1.0)
-    q = a + t[:, None] * ab
-    d2 = (q[:, 0] - point[0]) ** 2 + (q[:, 1] - point[1]) ** 2
-    return q[int(np.argmin(d2))].copy()
+    for lo in range(0, outside.size, _PROJECT_CHUNK):
+        idx = outside[lo : lo + _PROJECT_CHUNK]
+        px = pts[idx, 0:1]
+        py = pts[idx, 1:2]
+        t = ((px - a[:, 0]) * ab[:, 0] + (py - a[:, 1]) * ab[:, 1]) / denom
+        t = np.clip(t, 0.0, 1.0)
+        qx = a[:, 0] + t * ab[:, 0]
+        qy = a[:, 1] + t * ab[:, 1]
+        d2 = (qx - px) ** 2 + (qy - py) ** 2
+        j = np.argmin(d2, axis=1)
+        rows = np.arange(idx.size)
+        out[idx, 0] = qx[rows, j]
+        out[idx, 1] = qy[rows, j]
+    return out[0] if single else out
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,15 @@ def test_bad_flag_exits_2(tmp_path):
     assert run_cli(["--out", str(tmp_path), "bell", "--no-such-flag"]) == 2
 
 
+def test_dirichlet_rejects_other_schemes(tmp_path, capsys):
+    out = tmp_path / "dir"
+    code = run_cli(["--out", str(out), "bell", "--N", "60", "--scheme", "supg",
+                    "--dirichlet"])
+    assert code == 2
+    assert "--dirichlet" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     # a disk of 5 boundary points is rejected by the mesher
     code = run_cli(["--out", str(tmp_path / "x"), "mesh", "--N", "5"])

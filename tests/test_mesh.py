@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dcgm.mesh import (TriMesh, TriangleWalker, build_disk_mesh,
+from dcgm import mesh as mesh_module
+from dcgm.mesh import (TriMesh, _scan_for_point, build_disk_mesh,
                        build_rect_mesh, load_mesh, locate_point,
                        project_to_domain, save_mesh)
+
+LOCATE_MESHES = {"disk": build_disk_mesh(40), "rect": build_rect_mesh(7, 5, 2.0, 1.0)}
 
 
 def test_rect_counts_small():
@@ -110,12 +115,118 @@ def test_locate_outside(disk100):
     assert locate_point(disk100, np.array([0.9, 0.9])) is None
 
 
-def test_walker_cache(disk100):
-    w = TriangleWalker(disk100)
-    path = [np.array([0.3 + 0.001 * k, 0.1]) for k in range(50)]
-    for p in path:
-        loc = w.locate(p)
-        assert loc is not None
+@st.composite
+def probe_points(draw):
+    """A mesh and points on its edges, at its vertices, inside its
+    triangles, and on or outside its boundary edges."""
+    mesh = LOCATE_MESHES[draw(st.sampled_from(sorted(LOCATE_MESHES)))]
+    unit = st.floats(0.0, 1.0)
+    pts = []
+    for kind in draw(st.lists(st.sampled_from(["edge", "vertex", "inside", "boundary"]),
+                              min_size=1, max_size=12)):
+        if kind == "vertex":
+            pts.append(mesh.vertices[draw(st.integers(0, mesh.nv - 1))])
+            continue
+        if kind == "inside":
+            w = np.array([draw(st.floats(0.01, 1.0)) for _ in range(3)])
+            corners = mesh.triangle_coords(draw(st.integers(0, mesh.nt - 1)))
+            pts.append(w @ corners / w.sum())
+            continue
+        if kind == "edge":
+            k = draw(st.integers(0, mesh.nt - 1))
+            j = draw(st.integers(0, 2))
+            a, b = mesh.vertices[mesh.triangles[k, [j, (j + 1) % 3]]]
+            pts.append(a + draw(unit) * (b - a))
+            continue
+        a, b = mesh.vertices[mesh.boundary_edges[draw(st.integers(0, mesh.nbe - 1))]]
+        outward = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+        out = draw(st.one_of(st.just(0.0), st.floats(1e-9, 0.5)))
+        pts.append(a + draw(unit) * (b - a) + out * outward)
+    pts = np.array(pts)
+    hints = np.array(draw(st.lists(st.integers(-2, mesh.nt + 2),
+                                   min_size=len(pts), max_size=len(pts))))
+    return mesh, pts, hints
+
+
+@settings(max_examples=150, deadline=None)
+@given(probe=probe_points())
+def test_locate_matches_scan_for_any_hint(probe):
+    mesh, pts, hints = probe
+    tri, bary = locate_point(mesh, pts)
+    want = [_scan_for_point(mesh, p) for p in pts]
+    assert tri.tolist() == [-1 if w is None else w[0] for w in want]
+    for hint in (hints, int(hints[0])):
+        tri_h, bary_h = locate_point(mesh, pts, hint)
+        assert np.array_equal(tri_h, tri)
+        assert np.array_equal(bary_h[tri >= 0], bary[tri >= 0])
+    for p, h, k, lam in zip(pts, hints, tri, bary):
+        one = locate_point(mesh, p, hint=int(h))
+        if k < 0:
+            assert one is None
+        else:
+            assert one[0] == k and np.array_equal(one[1], lam)
+            assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def l_shaped_mesh(n: int = 9) -> TriMesh:
+    """Unit square without its upper-right quadrant: a reflex corner at
+    (0.5, 0.5), so the domain is not convex."""
+    square = build_rect_mesh(n, n, 1.0, 1.0)
+    centroids = square.vertices[square.triangles].mean(axis=1)
+    tris = square.triangles[~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5))]
+    used = np.unique(tris)
+    renumber = np.full(square.nv, -1)
+    renumber[used] = np.arange(used.size)
+    tris = renumber[tris]
+    # an edge used by one triangle is a boundary edge; keeping the direction
+    # it has in that counterclockwise triangle puts the domain on its left
+    directed = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    _, inverse, count = np.unique(np.sort(directed, axis=1), axis=0,
+                                  return_inverse=True, return_counts=True)
+    edges = directed[count[inverse.ravel()] == 1]
+    return TriMesh(square.vertices[used], tris, edges, np.ones(len(edges), dtype=np.int64))
+
+
+def segment_distance(p, a, b):
+    t = min(max(np.dot(p - a, b - a) / np.dot(b - a, b - a), 0.0), 1.0)
+    return float(np.hypot(*(a + t * (b - a) - p)))
+
+
+def test_non_convex_location_and_projection(rng, monkeypatch):
+    mesh = l_shaped_mesh()
+    assert not mesh.convex
+    assert mesh.total_area == pytest.approx(0.75, abs=1e-14)
+
+    scans = []
+
+    def counted_scan(m, p):
+        scans.append(p)
+        return _scan_for_point(m, p)
+
+    monkeypatch.setattr(mesh_module, "_scan_for_point", counted_scan)
+    # around and inside the notch, on the grid lines through the reflex corner
+    # and at the vertices
+    grid = np.linspace(0.3, 1.1, 17)
+    lines = np.array([(x, y) for x in grid for y in grid])
+    pts = np.vstack([lines, rng.uniform(-0.1, 1.1, size=(300, 2)), mesh.vertices])
+    want = [_scan_for_point(mesh, p) for p in pts]
+    want_tri = np.array([-1 if w is None else w[0] for w in want])
+    scans.clear()
+    for hint in (None, rng.integers(0, mesh.nt, size=len(pts))):
+        tri, _ = locate_point(mesh, pts, hint)
+        assert np.array_equal(tri, want_tri)
+    assert scans  # walks that stepped off a boundary edge took the fallback
+
+    inside = pts[want_tri >= 0]
+    assert np.array_equal(project_to_domain(mesh, inside), inside)
+    outside = pts[want_tri < 0]
+    assert outside.size
+    pulled = project_to_domain(mesh, outside)
+    assert np.all(locate_point(mesh, pulled)[0] >= 0)
+    segments = mesh.vertices[mesh.boundary_edges]
+    for p, q in zip(outside, pulled):
+        nearest = min(segment_distance(p, a, b) for a, b in segments)
+        assert np.hypot(*(q - p)) == pytest.approx(nearest, rel=1e-12, abs=1e-15)
 
 
 def test_project_to_domain(disk100):
@@ -127,14 +238,23 @@ def test_project_to_domain(disk100):
     assert np.allclose(same, [0.2, 0.1])
 
 
-def test_save_load_round_trip(tmp_path, disk60):
-    path = tmp_path / "disk.msh"
-    save_mesh(disk60, path)
+@settings(max_examples=30, deadline=None)
+@example(shape=None)
+@given(shape=st.one_of(
+    st.none(),
+    st.tuples(st.integers(2, 12), st.integers(2, 12),
+              st.floats(0.01, 100.0), st.floats(0.01, 100.0))))
+def test_save_load_round_trip(tmp_path_factory, disk60, shape):
+    mesh = disk60 if shape is None else build_rect_mesh(*shape)
+    path = tmp_path_factory.mktemp("mesh") / "round.msh"
+    save_mesh(mesh, path)
     again = load_mesh(path)
-    assert np.array_equal(again.vertices, disk60.vertices)
-    assert np.array_equal(again.triangles, disk60.triangles)
-    assert np.array_equal(again.boundary_edges, disk60.boundary_edges)
-    assert np.array_equal(again.boundary_labels, disk60.boundary_labels)
+    assert np.array_equal(again.vertices, mesh.vertices)
+    assert np.array_equal(again.triangles, mesh.triangles)
+    assert np.array_equal(again.boundary_edges, mesh.boundary_edges)
+    assert np.array_equal(again.boundary_labels, mesh.boundary_labels)
+    assert np.array_equal(again.neighbors, mesh.neighbors)
+    assert again.convex == mesh.convex
 
 
 def test_load_flips_clockwise(tmp_path):
