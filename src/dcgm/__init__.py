@@ -53,7 +53,7 @@ from .heston import (
     heston_run,
     put_price,
 )
-from .linalg import SolveReport, SparseMatrix, assemble_from_triplets, bicgstab_solve, cg_solve
+from .linalg import SolveReport, bicgstab_solve, cg_solve
 from .mesh import (
     TriMesh,
     build_disk_mesh,

@@ -90,6 +90,8 @@ class BellParams:
             raise ValueError("nu must be > 0")
         if not self.T > 0.0:
             raise ValueError("T must be > 0")
+        if self.n_steps is not None and self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
 
 
 def bell_center(params: BellParams, t: float) -> np.ndarray:
@@ -156,6 +158,11 @@ class RunReport:
             np.max(np.abs(self.mass_history - self.initial_mass))
             / abs(self.initial_mass)
         )
+
+
+def _n_steps(params: BellParams, N: int) -> int:
+    """Steps per turn: ``params.n_steps``, or N // 3 when unset."""
+    return params.n_steps if params.n_steps is not None else max(1, N // 3)
 
 
 def _resolve_config(params: BellParams, n_steps: int,
@@ -240,7 +247,7 @@ def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
     """
     params = params or BellParams()
     scheme = scheme.lower()
-    n_steps = params.n_steps or max(1, N // 3)
+    n_steps = _n_steps(params, N)
     config = _resolve_config(params, n_steps, config)
     mesh = build_disk_mesh(N)
     u0 = interpolate(mesh, bell_at_time(params, 0.0))
@@ -256,7 +263,7 @@ def exact_report(N: int, params: BellParams | None = None) -> RunReport:
     """Table row for the vertex interpolant of the closed-form solution at
     the final time; its error column is the interpolation floor."""
     params = params or BellParams()
-    n_steps = params.n_steps or max(1, N // 3)
+    n_steps = _n_steps(params, N)
     config = _resolve_config(params, n_steps, None)
     mesh = build_disk_mesh(N)
     exact = bell_at_time(params, params.T)
@@ -289,20 +296,13 @@ def convergence_study(scheme: str, sizes, params: BellParams | None = None,
 
 
 def compare_schemes(N: int = 200, params: BellParams | None = None,
-                    config: SchemeConfig | None = None,
-                    centered_steps_factor: int = 1) -> list[RunReport]:
+                    config: SchemeConfig | None = None) -> list[RunReport]:
     """All four schemes on one mesh plus the interpolated-exact reference
-    row.  centered_steps_factor refines the centered run's time step; the
-    default keeps every row on the same step count, which is what the frozen
+    row, every row on the same step count, which is what the frozen
     comparison targets assume (refining the centered step mostly removes its
     temporal smearing and makes that row look better, not worse)."""
     params = params or BellParams()
-    out = []
-    for scheme in ("dcgm", "pcgm", "supg"):
-        out.append(run_one_turn(N, scheme, params, config))
-    base_steps = params.n_steps or max(1, N // 3)
-    slow = replace(params, n_steps=base_steps * centered_steps_factor)
-    out.append(run_one_turn(N, "centered", slow, config))
+    out = [run_one_turn(N, scheme, params, config) for scheme in SCHEMES]
     out.append(exact_report(N, params))
     return out
 
@@ -342,7 +342,7 @@ def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
     final time, and the system matrix carries the boundary-flux correction.
     """
     params = params or BellParams()
-    n_steps = params.n_steps or max(1, N // 3)
+    n_steps = _n_steps(params, N)
     config = _resolve_config(params, n_steps, config)
     mesh = build_disk_mesh(N)
     u0 = interpolate(mesh, bell_at_time(params, 0.0))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (
+    SCHEMES,
     BellParams,
     RunReport,
     compare_schemes,
@@ -102,7 +103,8 @@ def _bell_params(args: argparse.Namespace) -> BellParams:
 
 
 def _scheme_config(args: argparse.Namespace) -> SchemeConfig:
-    # nu and dt are placeholders here; the bench resolves them per run
+    # dt is a placeholder the bench resolves per run; bell runs take nu
+    # from BellParams as well
     return SchemeConfig(
         nu=args.nu,
         dt=1.0,
@@ -144,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("bell", help="one-turn rotating-bell run(s)")
-    p.add_argument("--scheme", default="dcgm",
-                   choices=("dcgm", "pcgm", "supg", "centered"))
+    p.add_argument("--scheme", default="dcgm", choices=SCHEMES)
     p.add_argument("--N", type=_parse_sizes, default=[200],
                    help="comma-separated disk sizes, e.g. 100,200,400")
     p.add_argument("--dirichlet", action="store_true",
@@ -160,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("convergence", help="error-vs-h sweep")
-    p.add_argument("--scheme", default="dcgm",
-                   choices=("dcgm", "pcgm", "supg", "centered"))
+    p.add_argument("--scheme", default="dcgm", choices=SCHEMES)
     p.add_argument("--N", type=_parse_sizes, default=[100, 200, 400])
     _add_bell_flags(p)
     p.set_defaults(func=cmd_convergence)
@@ -257,11 +257,7 @@ def cmd_convergence(args, out: Path) -> dict:
 
 
 def cmd_discont(args, out: Path) -> dict:
-    config = SchemeConfig(
-        nu=args.nu, dt=1.0, sigma=args.sigma,
-        quadrature=args.quadrature, solver_tol=args.solver_tol,
-    )
-    report = discontinuous_test(args.N, config)
+    report = discontinuous_test(args.N, _scheme_config(args))
     _print_row(report)
     _write_diag_csv(out / "discont_diag.csv", report)
     if report.final is not None:

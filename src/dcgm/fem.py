@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SparseMatrix
 from .mesh import TriMesh
 from .quadrature import QuadratureRule
 
@@ -107,33 +106,28 @@ def triangle_gradients(field: FieldP1) -> np.ndarray:
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _wrap_coo(n: int, rows, cols, vals) -> SparseMatrix:
-    return SparseMatrix(
-        sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-    )
-
-
 def _ij_pairs(tris: np.ndarray):
     rows = np.repeat(tris, 3, axis=1)  # v0 v0 v0 v1 v1 v1 v2 v2 v2
     cols = np.tile(tris, (1, 3))  # v0 v1 v2 v0 v1 v2 v0 v1 v2
     return rows, cols
 
 
-def assemble_local(mesh: TriMesh, local: np.ndarray) -> SparseMatrix:
+def assemble_local(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
     """Sum per-triangle 3x3 blocks (shape (nt, 3, 3)) into a global matrix."""
     if local.shape != (mesh.nt, 3, 3):
         raise ValueError("expected one 3x3 block per triangle")
     rows, cols = _ij_pairs(mesh.triangles)
-    return _wrap_coo(mesh.nv, rows, cols, local.reshape(mesh.nt, 9))
+    return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(mesh.nv, mesh.nv))
 
 
-def assemble_mass(mesh: TriMesh) -> SparseMatrix:
+def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix (exact element integrals)."""
     local = mesh.areas[:, None, None] * _MASS_PATTERN[None, :, :]
     return assemble_local(mesh, local)
 
 
-def assemble_stiffness(mesh: TriMesh) -> SparseMatrix:
+def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """P1 stiffness matrix for the Laplacian (exact element integrals)."""
     g = basis_gradients(mesh)
     local = np.einsum("tid,tjd->tij", g, g) * mesh.areas[:, None, None]

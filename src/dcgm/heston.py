@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .characteristics import VelocityField
 from .fem import FieldP1, assemble_local, basis_gradients, integral, interpolate
-from .linalg import SparseMatrix
 from .mesh import TriMesh, build_rect_mesh
 from .quadrature import QuadratureRule, nine_point_rule
 from .schemes import SchemeConfig, StepDiagnostics, dcgm_prepare, dcgm_step
@@ -145,7 +145,7 @@ def heston_operator(params: HestonParams) -> TensorField:
 
 
 def assemble_tensor_stiffness(mesh: TriMesh, diffusion,
-                              rule: QuadratureRule | None = None) -> SparseMatrix:
+                              rule: QuadratureRule | None = None) -> sp.csr_matrix:
     """K_ij = sum_T |T| sum_q w_q grad(phi_i) . D(x_q) grad(phi_j).
 
     Symmetric, and PSD whenever D is PSD at every quadrature node; with
@@ -181,7 +181,7 @@ def put_price(field: FieldP1, strike: float,
     )
 
 
-def boundary_mass(field: FieldP1, mass_matrix: SparseMatrix) -> float:
+def boundary_mass(field: FieldP1, mass_matrix: sp.csr_matrix) -> float:
     """Mass attached to boundary vertices: how much density has reached the
     truncation edges of the computational domain."""
     mu = mass_matrix @ field.coeffs

@@ -1,8 +1,9 @@
-"""Sparse matrices and iterative solvers.
+"""Jacobi-preconditioned Krylov solvers on scipy CSR matrices.
 
-Storage is delegated to scipy's CSR format; the Krylov loops are written out
-here so their stopping rules are explicit: both solvers report the true
-residual of the returned iterate, never the recurrence residual alone.
+The loops are written out here so the stopping rule is explicit and shared:
+one driver owns validation, warm start, restarts and the report, and both
+solvers report the true residual of the returned iterate, never the
+recurrence residual alone.
 """
 
 from __future__ import annotations
@@ -12,78 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "SparseMatrix",
-    "SolveReport",
-    "assemble_from_triplets",
-    "cg_solve",
-    "bicgstab_solve",
-]
-
-
-class SparseMatrix:
-    """Square sparse matrix in CSR form.
-
-    Thin wrapper fixing the invariants assembly relies on: duplicate entries
-    summed, indices sorted, square shape.  Supports ``A @ x``, ``A + B`` and
-    scalar scaling, which is all the schemes need.
-    """
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr = sp.csr_matrix(csr)
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError("matrix must be square")
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self.csr = csr
-
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.csr.T.tocsr())
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix((self.csr + other.csr).tocsr())
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return SparseMatrix((self.csr - other.csr).tocsr())
-
-    def __mul__(self, s: float) -> "SparseMatrix":
-        return SparseMatrix((self.csr * float(s)).tocsr())
-
-    __rmul__ = __mul__
-
-
-def assemble_from_triplets(n: int, stream) -> SparseMatrix:
-    """Build an n x n matrix from an iterable of (row, col, value) triplets.
-
-    Entries hitting the same position accumulate by summation.
-    """
-    rows, cols, vals = [], [], []
-    for i, j, v in stream:
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-    csr = sp.csr_matrix(
-        (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
-        shape=(n, n),
-    )
-    return SparseMatrix(csr)
+__all__ = ["SolveReport", "cg_solve", "bicgstab_solve"]
 
 
 @dataclass(frozen=True)
@@ -100,31 +30,19 @@ class SolveReport:
     residual: float
 
 
-def _jacobi_diag(A: SparseMatrix, enabled: bool) -> np.ndarray:
-    if not enabled:
-        return np.ones(A.n)
-    d = A.diagonal().copy()
-    d[d <= 0.0] = 1.0  # keep the preconditioner positive definite
-    return d
+def _solve(A: sp.csr_matrix, b, tol: float, max_iter: int | None, x0, sweep):
+    """Run ``sweep`` from the true residual, at most three passes.
 
-
-def cg_solve(
-    A: SparseMatrix,
-    b: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-    jacobi: bool = True,
-    x0: np.ndarray | None = None,
-):
-    """Conjugate gradients for symmetric positive definite systems.
-
-    Stops when the residual norm drops below ``tol * ||b||``; the recurrence
-    is then checked against the true residual and restarted (at most three
-    passes) if rounding has let them drift apart.  A direction of nonpositive
-    curvature aborts with ``converged=False``: the matrix is not SPD.
+    ``converged`` means ||b - A x|| <= tol ||b|| for the returned x.  Each
+    pass starts from the true residual, so a recurrence that drifted from it
+    is restarted; a pass that stalls (``broke``) or exhausts ``max_iter``
+    ends the solve.  ``sweep(A, x, r, diag, target, budget)`` updates x in
+    place and returns ``(iterations, broke)``.
     """
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("matrix must be square")
     b = np.asarray(b, dtype=float)
-    n = A.n
     if b.shape != (n,):
         raise ValueError("right-hand side has wrong length")
     if max_iter is None:
@@ -133,117 +51,101 @@ def cg_solve(
     if norm_b == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0)
     target = tol * norm_b
-    diag = _jacobi_diag(A, jacobi)
+    diag = A.diagonal()
+    diag[diag <= 0.0] = 1.0  # keep the preconditioner positive definite
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    total_iters = 0
+    total = 0
     for _ in range(3):
         r = b - A @ x
         res = float(np.linalg.norm(r))
         if res <= target:
-            return x, SolveReport(True, total_iters, res)
-        z = r / diag
-        p = z.copy()
-        rz = float(r @ z)
-        while total_iters < max_iter:
-            Ap = A @ p
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                res = float(np.linalg.norm(b - A @ x))
-                return x, SolveReport(False, total_iters, res)
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            total_iters += 1
-            res = float(np.linalg.norm(r))
-            if res <= target:
-                break
-            z = r / diag
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        true_res = float(np.linalg.norm(b - A @ x))
-        if true_res <= target:
-            return x, SolveReport(True, total_iters, true_res)
-        if total_iters >= max_iter:
-            return x, SolveReport(False, total_iters, true_res)
-        # recurrence drifted from the true residual: restart from x
-    true_res = float(np.linalg.norm(b - A @ x))
-    return x, SolveReport(true_res <= target, total_iters, true_res)
+            break
+        iters, broke = sweep(A, x, r, diag, target, max_iter - total)
+        total += iters
+        res = float(np.linalg.norm(b - A @ x))
+        if res <= target or broke or total >= max_iter:
+            break
+    return x, SolveReport(res <= target, total, res)
 
 
-def bicgstab_solve(
-    A: SparseMatrix,
-    b: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-    jacobi: bool = True,
-    x0: np.ndarray | None = None,
-):
-    """Stabilized biconjugate gradients for general square systems.
-
-    Same stopping and reporting conventions as :func:`cg_solve`.  Breakdown
-    of the recurrences (vanishing rho or omega) yields ``converged=False``
-    with the best iterate found.
-    """
-    b = np.asarray(b, dtype=float)
-    n = A.n
-    if b.shape != (n,):
-        raise ValueError("right-hand side has wrong length")
-    if max_iter is None:
-        max_iter = 10 * n
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0.0)
-    target = tol * norm_b
-    diag = _jacobi_diag(A, jacobi)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
-    total_iters = 0
-    for _ in range(3):
-        r = b - A @ x
+def _cg_sweep(A, x, r, diag, target, budget):
+    """Preconditioned CG recurrence; breaks on nonpositive curvature (the
+    matrix is not SPD)."""
+    z = r / diag
+    p = z
+    rz = float(r @ z)
+    it = 0
+    while it < budget:
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            return it, True
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        it += 1
         if float(np.linalg.norm(r)) <= target:
-            return x, SolveReport(True, total_iters, float(np.linalg.norm(r)))
-        r_hat = r.copy()
-        rho = alpha = omega = 1.0
-        v = np.zeros(n)
-        p = np.zeros(n)
-        broke = False
-        while total_iters < max_iter:
-            rho_new = float(r_hat @ r)
-            if rho_new == 0.0 or omega == 0.0:
-                broke = True
-                break
-            beta = (rho_new / rho) * (alpha / omega)
-            rho = rho_new
-            p = r + beta * (p - omega * v)
-            ph = p / diag
-            v = A @ ph
-            denom = float(r_hat @ v)
-            if denom == 0.0:
-                broke = True
-                break
-            alpha = rho / denom
-            s = r - alpha * v
-            total_iters += 1
-            if float(np.linalg.norm(s)) <= target:
-                x += alpha * ph
-                break
-            sh = s / diag
-            t = A @ sh
-            tt = float(t @ t)
-            if tt == 0.0:
-                broke = True
-                break
-            omega = float(t @ s) / tt
-            x += alpha * ph + omega * sh
-            r = s - omega * t
-            if float(np.linalg.norm(r)) <= target:
-                break
-        true_res = float(np.linalg.norm(b - A @ x))
-        if true_res <= target:
-            return x, SolveReport(True, total_iters, true_res)
-        if broke or total_iters >= max_iter:
-            return x, SolveReport(False, total_iters, true_res)
-    true_res = float(np.linalg.norm(b - A @ x))
-    return x, SolveReport(true_res <= target, total_iters, true_res)
+            break
+        z = r / diag
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return it, False
+
+
+def _bicgstab_sweep(A, x, r, diag, target, budget):
+    """Right-preconditioned BiCGStab recurrence; breaks when rho, omega or a
+    denominator vanishes."""
+    r_hat = r
+    rho = alpha = omega = 1.0
+    v = p = np.zeros_like(r)
+    it = 0
+    while it < budget:
+        rho_new = float(r_hat @ r)
+        if rho_new == 0.0 or omega == 0.0:
+            return it, True
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        ph = p / diag
+        v = A @ ph
+        denom = float(r_hat @ v)
+        if denom == 0.0:
+            return it, True
+        alpha = rho / denom
+        s = r - alpha * v
+        it += 1
+        if float(np.linalg.norm(s)) <= target:
+            x += alpha * ph
+            break
+        sh = s / diag
+        t = A @ sh
+        tt = float(t @ t)
+        if tt == 0.0:
+            return it, True
+        omega = float(t @ s) / tt
+        x += alpha * ph + omega * sh
+        r = s - omega * t
+        if float(np.linalg.norm(r)) <= target:
+            break
+    return it, False
+
+
+def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
+             max_iter: int | None = None, x0: np.ndarray | None = None):
+    """Conjugate gradients for symmetric positive definite systems; returns
+    ``(x, SolveReport)``.
+
+    A direction of nonpositive curvature stops the solve; the report then
+    says whether the iterate reached so far happens to meet the tolerance.
+    """
+    return _solve(A, b, tol, max_iter, x0, _cg_sweep)
+
+
+def bicgstab_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
+                   max_iter: int | None = None, x0: np.ndarray | None = None):
+    """Stabilized biconjugate gradients for general square systems; same
+    conventions as :func:`cg_solve`.  Breakdown of the recurrences yields
+    the iterate reached so far."""
+    return _solve(A, b, tol, max_iter, x0, _bicgstab_sweep)

@@ -40,7 +40,7 @@ from .fem import (
     basis_gradients,
     integral,
 )
-from .linalg import SolveReport, SparseMatrix, bicgstab_solve, cg_solve
+from .linalg import SolveReport, bicgstab_solve, cg_solve
 from .mesh import TriMesh
 from .quadrature import midedge_rule, rule_by_name
 
@@ -64,6 +64,9 @@ __all__ = [
     "cfl_dt_guideline",
 ]
 
+# streamline-upwind weight alpha of the test functions w + alpha a.grad w
+_SUPG_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -78,7 +81,6 @@ class SchemeConfig:
     dt: float
     sigma: float = 1.0
     quadrature: str = "ninepoint"
-    supg_alpha: float = 0.3
     solver_tol: float = 1e-13
     solver_max_iter: int | None = None
 
@@ -138,9 +140,9 @@ class DcgmOperator:
     """
 
     mesh: TriMesh
-    mass: SparseMatrix
-    lhs: SparseMatrix
-    rhs_mat: SparseMatrix
+    mass: sp.csr_matrix
+    lhs: sp.csr_matrix
+    rhs_mat: sp.csr_matrix
     traced: TracedPoints
     dual: bool
     projected_fraction: float
@@ -161,7 +163,7 @@ def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
 
 def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
                  dual: bool = True,
-                 stiffness: SparseMatrix | None = None) -> DcgmOperator:
+                 stiffness: sp.csr_matrix | None = None) -> DcgmOperator:
     """Trace the quadrature nodes and build both matrices of the step once.
 
     ``stiffness`` replaces the constant-coefficient stiffness matrix (an
@@ -186,7 +188,7 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
         mesh=mesh,
         mass=mass,
         lhs=mass + (config.nu * config.dt) * stiffness,
-        rhs_mat=SparseMatrix(rhs_mat),
+        rhs_mat=rhs_mat.tocsr(),
         traced=tp,
         dual=dual,
         projected_fraction=fraction,
@@ -211,7 +213,7 @@ def _advance(op, u_prev: FieldP1, solve, label: str, g=None):
         rhs = rhs - op.coupling @ g[op.boundary]
         x0 = x0[op.interior]
     x, report = solve(op.lhs, rhs, tol=op.solver_tol,
-                      max_iter=op.solver_max_iter, jacobi=True, x0=x0)
+                      max_iter=op.solver_max_iter, x0=x0)
     if not report.converged:
         raise StepError(f"{label} step solve failed", report)
     if g is not None:
@@ -277,8 +279,8 @@ class AdvectionSystem:
     none is projected."""
 
     mesh: TriMesh
-    lhs: SparseMatrix
-    rhs_mat: SparseMatrix
+    lhs: sp.csr_matrix
+    rhs_mat: sp.csr_matrix
     solver_tol: float
     solver_max_iter: int | None
     projected_fraction: float = 0.0
@@ -286,7 +288,8 @@ class AdvectionSystem:
 
 def supg_prepare(mesh: TriMesh, field: VelocityField,
                  config: SchemeConfig) -> AdvectionSystem:
-    """Streamline-upwind system: test functions w + alpha a.grad w.
+    """Streamline-upwind system: test functions w + alpha a.grad w,
+    alpha = 0.3.
 
     In time-step-scaled form the matrices are
         lhs = M + alpha C^T + dt (C + alpha S + nu K)
@@ -295,9 +298,9 @@ def supg_prepare(mesh: TriMesh, field: VelocityField,
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
     conv, stream = _advection_matrices(mesh, field)
-    alpha = config.supg_alpha
-    base = mass + alpha * conv.transpose()
-    lhs = base + config.dt * (conv + alpha * stream + config.nu * stiffness)
+    base = mass + _SUPG_ALPHA * conv.T
+    lhs = base + config.dt * (conv + _SUPG_ALPHA * stream
+                              + config.nu * stiffness)
     return AdvectionSystem(mesh, lhs, base, config.solver_tol,
                           config.solver_max_iter)
 
@@ -345,7 +348,7 @@ def centered_step(op: AdvectionSystem, u_prev: FieldP1):
 # Dirichlet variant (experimental)
 
 
-def _boundary_flux_matrix(mesh: TriMesh, field: VelocityField) -> SparseMatrix:
+def _boundary_flux_matrix(mesh: TriMesh, field: VelocityField) -> sp.csr_matrix:
     """B_ij = int over the boundary of (a.n) phi_i phi_j, 2-point Gauss per
     edge.  Only boundary-vertex pairs receive entries."""
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
@@ -369,11 +372,10 @@ def _boundary_flux_matrix(mesh: TriMesh, field: VelocityField) -> SparseMatrix:
                 rows.append(mesh.boundary_edges[:, li])
                 cols.append(mesh.boundary_edges[:, lj])
                 vals.append(factor * pi * pj)
-    csr = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.nv, mesh.nv),
     )
-    return SparseMatrix(csr)
 
 
 @dataclass(eq=False)
@@ -387,7 +389,7 @@ class DirichletOperator:
     """
 
     mesh: TriMesh
-    lhs: SparseMatrix
+    lhs: sp.csr_matrix
     rhs_mat: sp.csr_matrix
     coupling: sp.csr_matrix
     interior: np.ndarray
@@ -408,14 +410,14 @@ def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
     better in practice, and the discrepancy is left visible.
     """
     op = dcgm_prepare(mesh, field, config)
-    matrix = (op.lhs - config.dt * _boundary_flux_matrix(mesh, field)).csr
+    matrix = op.lhs - config.dt * _boundary_flux_matrix(mesh, field)
     interior = mesh.interior_vertices
     boundary = mesh.boundary_vertices
     rows = matrix[interior]
     return DirichletOperator(
         mesh=mesh,
-        lhs=SparseMatrix(rows[:, interior]),
-        rhs_mat=op.rhs_mat.csr[interior],
+        lhs=rows[:, interior],
+        rhs_mat=op.rhs_mat[interior],
         coupling=rows[:, boundary],
         interior=interior,
         boundary=boundary,

@@ -24,6 +24,11 @@ def test_params_validation():
         BellParams(nu=0.0)
     with pytest.raises(ValueError):
         BellParams(T=-1.0)
+    # 0 is a step count, not "unset": it must not fall back to N // 3
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n_steps"):
+            BellParams(n_steps=bad)
+    assert BellParams(n_steps=1).n_steps == 1
 
 
 def test_bell_center_rotates():
@@ -95,7 +100,7 @@ def test_convergence_study_needs_three():
 def test_compare_schemes_rows():
     rows = compare_schemes(60)
     assert [r.scheme for r in rows] == ["dcgm", "pcgm", "supg", "centered", "exact"]
-    # default keeps all four schemes on the same step budget
+    # all four schemes run on the same step budget
     assert rows[3].n_steps == rows[0].n_steps
     assert rows[0].l2_err < rows[2].l2_err
 

@@ -136,6 +136,14 @@ def test_dirichlet_rejects_other_schemes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bell_rejects_zero_steps(tmp_path, capsys):
+    out = tmp_path / "zero"
+    code = run_cli(["--out", str(out), "bell", "--N", "40", "--steps", "0"])
+    assert code != 0
+    assert "n_steps" in capsys.readouterr().err
+    assert not (out / "table1.csv").exists()
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     # a disk of 5 boundary points is rejected by the mesher
     code = run_cli(["--out", str(tmp_path / "x"), "mesh", "--N", "5"])

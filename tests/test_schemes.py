@@ -198,6 +198,6 @@ def test_transport_mass_identity(ax, ay, dt, quadrature):
     mesh = build_rect_mesh(6, 5, 1.0, 0.8)
     config = SchemeConfig(nu=1e-3, dt=dt, quadrature=quadrature)
     op = dcgm_prepare(mesh, uniform_field(ax, ay), config)
-    column_sums = np.asarray(op.rhs_mat.csr.sum(axis=0)).ravel()
+    column_sums = np.asarray(op.rhs_mat.sum(axis=0)).ravel()
     lumped = assemble_mass(mesh) @ np.ones(mesh.nv)
     np.testing.assert_allclose(column_sums, lumped, rtol=1e-13, atol=0.0)
