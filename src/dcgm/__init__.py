@@ -43,14 +43,17 @@ from .fem import (
     max_coeff,
     min_coeff,
     nu_dt_norm,
+    stability_form,
     write_field_csv,
 )
 from .heston import (
     HestonParams,
     TensorField,
     assemble_tensor_stiffness,
+    expectation_weights,
     heston_operator,
     heston_run,
+    put_payoff,
     put_price,
 )
 from .linalg import SolveReport, bicgstab_solve, cg_solve

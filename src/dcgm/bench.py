@@ -30,6 +30,7 @@ from .fem import (
     interpolate,
     l2_error,
     nu_dt_norm,
+    stability_form,
 )
 from .mesh import TriMesh, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
@@ -195,8 +196,9 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
     ``boundary(t)``, when given, supplies the imposed boundary values at each
     step's end time (Dirichlet steps only).
     """
+    form = stability_form(u0.mesh, config.nu, config.dt)
     masses = [integral(u0)]
-    norms = [nu_dt_norm(u0, config.nu, config.dt)]
+    norms = [nu_dt_norm(u0, form)]
     diags: list[StepDiagnostics] = []
     u = u0
     for n in range(1, n_steps + 1):
@@ -205,7 +207,7 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
         u, diag = step(op=op, u_prev=u, **extra)
         diags.append(diag)
         masses.append(diag.mass)
-        norms.append(nu_dt_norm(u, config.nu, config.dt))
+        norms.append(nu_dt_norm(u, form))
     return u, np.array(masses), np.array(norms), diags
 
 
@@ -268,8 +270,8 @@ def exact_report(N: int, params: BellParams | None = None) -> RunReport:
     mesh = build_disk_mesh(N)
     exact = bell_at_time(params, params.T)
     u = interpolate(mesh, exact)
-    run = (u, np.array([integral(u)]),
-           np.array([nu_dt_norm(u, config.nu, config.dt)]), [])
+    form = stability_form(mesh, config.nu, config.dt)
+    run = (u, np.array([integral(u)]), np.array([nu_dt_norm(u, form)]), [])
     return _report("exact", N, mesh, config, n_steps, run, exact)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "assemble_local",
     "assemble_mass",
     "assemble_stiffness",
+    "stability_form",
     "basis_gradients",
     "triangle_gradients",
     "integral",
@@ -58,15 +59,8 @@ def interpolate(mesh: TriMesh, f) -> FieldP1:
     ``f`` may be vectorized over numpy arrays; scalar-only callables are
     evaluated pointwise.
     """
-    x = mesh.vertices[:, 0]
-    y = mesh.vertices[:, 1]
-    try:
-        vals = np.asarray(f(x, y), dtype=float)
-        if vals.shape != x.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([float(f(float(a), float(b))) for a, b in mesh.vertices])
-    return FieldP1(mesh, vals)
+    return FieldP1(mesh, _call_on_points(f, mesh.vertices[:, 0],
+                                         mesh.vertices[:, 1]))
 
 
 def evaluate(field: FieldP1, loc) -> float:
@@ -121,23 +115,34 @@ def assemble_local(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
                          shape=(mesh.nv, mesh.nv))
 
 
+def _mass_local(mesh: TriMesh) -> np.ndarray:
+    return mesh.areas[:, None, None] * _MASS_PATTERN[None, :, :]
+
+
+def _stiffness_local(mesh: TriMesh) -> np.ndarray:
+    g = basis_gradients(mesh)
+    return np.einsum("tid,tjd->tij", g, g) * mesh.areas[:, None, None]
+
+
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix (exact element integrals)."""
-    local = mesh.areas[:, None, None] * _MASS_PATTERN[None, :, :]
-    return assemble_local(mesh, local)
+    return assemble_local(mesh, _mass_local(mesh))
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """P1 stiffness matrix for the Laplacian (exact element integrals)."""
-    g = basis_gradients(mesh)
-    local = np.einsum("tid,tjd->tij", g, g) * mesh.areas[:, None, None]
-    return assemble_local(mesh, local)
+    return assemble_local(mesh, _stiffness_local(mesh))
+
+
+def stability_form(mesh: TriMesh, nu: float, dt: float) -> sp.csr_matrix:
+    """M + nu dt K, the matrix of the squared stability norm (see
+    :func:`nu_dt_norm`); build it once per run, not per step."""
+    return assemble_local(mesh, _mass_local(mesh) + (nu * dt) * _stiffness_local(mesh))
 
 
 def integral(field: FieldP1) -> float:
     """Exact integral of the field over the meshed domain."""
-    c = field.coeffs[field.mesh.triangles]
-    return float(np.sum(field.mesh.areas * c.mean(axis=1)))
+    return float(field.mesh.vertex_mass @ field.coeffs)
 
 
 def min_coeff(field: FieldP1) -> float:
@@ -161,9 +166,11 @@ def h1_seminorm(field: FieldP1) -> float:
     return float(np.sqrt(np.sum(field.mesh.areas * np.sum(g**2, axis=1))))
 
 
-def nu_dt_norm(field: FieldP1, nu: float, dt: float) -> float:
-    """Stability norm of the diffusive step: sqrt(||u||^2 + nu dt |u|_1^2)."""
-    return float(np.sqrt(l2_norm(field) ** 2 + nu * dt * h1_seminorm(field) ** 2))
+def nu_dt_norm(field: FieldP1, form: sp.csr_matrix) -> float:
+    """Stability norm of the diffusive step, sqrt(||u||^2 + nu dt |u|_1^2),
+    as sqrt(u^T form u) with ``form = stability_form(mesh, nu, dt)``."""
+    u = field.coeffs
+    return float(np.sqrt(u @ (form @ u)))
 
 
 def _call_on_points(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -48,7 +48,9 @@ __all__ = [
     "heston_operator",
     "assemble_tensor_stiffness",
     "heston_run",
+    "put_payoff",
     "put_price",
+    "expectation_weights",
     "expectation",
     "boundary_mass",
 ]
@@ -161,24 +163,33 @@ def assemble_tensor_stiffness(mesh: TriMesh, diffusion,
     return assemble_local(mesh, local)
 
 
+def expectation_weights(mesh: TriMesh, f,
+                        rule: QuadratureRule | None = None) -> np.ndarray:
+    """Vertex vector p with p @ u the quadrature of f(x, y) times the field u:
+    p_i = sum_T |T| sum_q w_q lambda_i(x_q) f(x_q)."""
+    rule = rule or nine_point_rule()
+    pts = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy)  # (nt, nq, 2)
+    vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
+    local = (vals * rule.weights) @ rule.points  # (nt, 3)
+    local *= mesh.areas[:, None]
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.nv)
+
+
 def expectation(field: FieldP1, f, rule: QuadratureRule | None = None) -> float:
     """Quadrature of f(x, y) times the field over the mesh."""
-    rule = rule or nine_point_rule()
-    mesh = field.mesh
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy)
-    u = field.coeffs[mesh.triangles] @ rule.points.T  # (nt, nq)
-    vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
-    per_tri = (vals * u) @ rule.weights
-    return float(np.sum(mesh.areas * per_tri))
+    return float(expectation_weights(field.mesh, f, rule) @ field.coeffs)
 
 
-def put_price(field: FieldP1, strike: float,
-              rule: QuadratureRule | None = None) -> float:
-    """Integral of (strike - x)_+ against the density."""
-    return expectation(
-        field, lambda x, y: np.clip(strike - np.asarray(x, dtype=float), 0.0, None),
-        rule,
-    )
+def put_payoff(strike: float):
+    """The put payoff (strike - x)_+ as an f(x, y) callable."""
+    return lambda x, y: np.clip(strike - np.asarray(x, dtype=float), 0.0, None)
+
+
+def put_price(field: FieldP1, weights: np.ndarray) -> float:
+    """Integral of the payoff against the density, with ``weights =
+    expectation_weights(mesh, put_payoff(strike), rule)`` built once."""
+    return float(weights @ field.coeffs)
 
 
 def boundary_mass(field: FieldP1, mass_matrix: sp.csr_matrix) -> float:
@@ -248,13 +259,14 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=solver_tol)
     stiffness = assemble_tensor_stiffness(mesh, tensor.diffusion, rule)
     op = dcgm_prepare(mesh, tensor.drift, config, stiffness=stiffness)
+    put_weights = expectation_weights(mesh, put_payoff(params.strike), rule)
 
     u = _initial_density(mesh, params)
     steps: list[HestonStep] = []
     warned_neg = warned_leak = False
     for k in range(1, n_steps + 1):
         u, diag = dcgm_step(op, u)
-        price = put_price(u, params.strike, rule)
+        price = put_price(u, put_weights)
         leak = boundary_mass(u, op.mass)
         steps.append(HestonStep(diag=diag, price=price, boundary_mass=leak))
         if not warned_neg and diag.min_value < -1e-6:

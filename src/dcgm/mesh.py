@@ -42,6 +42,10 @@ class TriMesh:
         Oriented boundary segments (domain on the left).
     boundary_labels : ndarray, shape (nbe,)
     regions : ndarray, shape (nt,)
+    vertex_mass : ndarray, shape (nv,)
+        Column sums of the consistent P1 mass matrix, |T|/3 summed over the
+        triangles around each vertex; ``vertex_mass @ u`` integrates a P1
+        field exactly.
 
     Arrays are owned by the mesh and must not be mutated after construction;
     derived tables are computed once in ``__post_init__``.
@@ -55,6 +59,7 @@ class TriMesh:
 
     # derived, filled in __post_init__
     areas: np.ndarray = field(init=False, repr=False)
+    vertex_mass: np.ndarray = field(init=False, repr=False)
     neighbors: np.ndarray = field(init=False, repr=False)
     is_boundary_vertex: np.ndarray = field(init=False, repr=False)
     convex: bool = field(init=False, repr=False)
@@ -114,6 +119,9 @@ class TriMesh:
         self._vertex_tris = np.argsort(flat, kind="stable") // 3
         self._vertex_start = np.concatenate(
             [[0], np.cumsum(np.bincount(flat, minlength=self.nv))]
+        )
+        self.vertex_mass = np.bincount(
+            flat, weights=np.repeat(self.areas / 3.0, 3), minlength=self.nv
         )
         self.is_boundary_vertex = np.zeros(self.nv, dtype=bool)
         if self.boundary_edges.size:

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcgm.fem import (FieldP1, assemble_mass, assemble_stiffness,
                       basis_gradients, evaluate, h1_seminorm, integral,
                       interpolate, l2_error, l2_norm, max_coeff, min_coeff,
-                      nu_dt_norm, write_field_csv)
-from dcgm.mesh import TriMesh, build_rect_mesh, locate_point
-from dcgm.quadrature import nine_point_rule
+                      nu_dt_norm, stability_form, write_field_csv)
+from dcgm.heston import expectation
+from dcgm.mesh import TriMesh, build_disk_mesh, build_rect_mesh, locate_point
+from dcgm.quadrature import midedge_rule, nine_point_rule
 
 
 def reference_triangle():
@@ -70,16 +73,25 @@ def test_interpolate_and_evaluate(unit_square):
         evaluate(f, None)
 
 
+def scalar_only(x, y):
+    """x + y for scalar arguments only: arrays take the pointwise path."""
+    if np.ndim(x) > 0:
+        raise TypeError("scalars only")
+    return x + y
+
+
 def test_interpolate_pointwise_fallback(unit_square):
     # a callable that rejects arrays still interpolates via the scalar path
-    def scalar_only(x, y):
-        if np.ndim(x) > 0:
-            raise TypeError("scalars only")
-        return x + y
-
     f = interpolate(unit_square, scalar_only)
     g = interpolate(unit_square, lambda x, y: np.asarray(x) + np.asarray(y))
     assert np.allclose(f.coeffs, g.coeffs, atol=1e-15)
+
+
+def test_l2_error_pointwise_fallback(unit_square):
+    f = interpolate(unit_square, lambda x, y: np.asarray(x) ** 2)
+    want = l2_error(f, lambda x, y: np.asarray(x) + np.asarray(y), nine_point_rule())
+    assert want > 0.1
+    assert l2_error(f, scalar_only, nine_point_rule()) == want
 
 
 def test_integral_linear(unit_square):
@@ -91,8 +103,53 @@ def test_norms_f_equals_x(unit_square):
     f = interpolate(unit_square, lambda x, y: np.asarray(x))
     assert l2_norm(f) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
     assert h1_seminorm(f) == pytest.approx(1.0, rel=1e-12)
-    nd = nu_dt_norm(f, nu=0.01, dt=0.5)
+    nd = nu_dt_norm(f, stability_form(unit_square, nu=0.01, dt=0.5))
     assert nd == pytest.approx(math.sqrt(1.0 / 3.0 + 0.005), rel=1e-12)
+
+
+@st.composite
+def meshes_and_fields(draw):
+    """A rectangle (random grid and extents) or a disk mesh, and a signed
+    random P1 field on it."""
+    if draw(st.booleans()):
+        extent = st.floats(0.01, 100.0)
+        mesh = build_rect_mesh(draw(st.integers(2, 12)), draw(st.integers(2, 12)),
+                               draw(extent), draw(extent))
+    else:
+        mesh = build_disk_mesh(draw(st.integers(8, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    return FieldP1(mesh, scale * rng.uniform(-1.0, 1.0, mesh.nv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=meshes_and_fields(), nu=st.floats(0.0, 1.0), dt=st.floats(0.0, 10.0),
+       rule=st.sampled_from([nine_point_rule(), midedge_rule()]))
+def test_prepared_functionals_match_direct_sums(case, nu, dt, rule):
+    # the vector and matrix forms against the per-triangle sums they replace;
+    # a signed field can integrate to ~0, so the linear functionals are
+    # compared relative to the same sums taken of |u|
+    mesh, u = case.mesh, case.coeffs
+    per_tri = u[mesh.triangles]
+    direct = np.sum(mesh.areas * per_tri.mean(axis=1))
+    size = np.sum(mesh.areas * np.abs(per_tri).mean(axis=1))
+    assert abs(integral(case) - direct) <= 1e-14 * size
+
+    want = math.sqrt(l2_norm(case) ** 2 + nu * dt * h1_seminorm(case) ** 2)
+    assert nu_dt_norm(case, stability_form(mesh, nu, dt)) == pytest.approx(
+        want, rel=1e-13)
+
+    def f(x, y):
+        return np.cos(np.asarray(x)) + np.asarray(y) ** 2
+
+    direct = size = 0.0
+    for k, tri in enumerate(mesh.triangles):
+        for lam, w in zip(rule.points, rule.weights):
+            x, y = lam @ mesh.vertices[tri]
+            term = mesh.areas[k] * w * (math.cos(x) + y * y) * (lam @ u[tri])
+            direct += term
+            size += abs(term)
+    assert abs(expectation(case, f, rule) - direct) <= 1e-13 * size
 
 
 def test_min_max_coeff(unit_square):

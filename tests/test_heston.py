@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from dcgm.fem import assemble_mass, assemble_stiffness, interpolate
-from dcgm.heston import (HestonParams, TensorField, assemble_tensor_stiffness,
-                         boundary_mass, expectation, heston_operator,
-                         heston_run, put_price)
+from dcgm.heston import (HestonParams, TensorField, _initial_density,
+                         assemble_tensor_stiffness, boundary_mass, expectation,
+                         expectation_weights, heston_operator, heston_run,
+                         put_payoff, put_price)
 from dcgm.mesh import build_rect_mesh
 from dcgm.quadrature import nine_point_rule
 from scipy.stats import norm
@@ -175,7 +176,8 @@ def test_put_price_functional(unit_square):
     # density concentrated on the unit square, strike beyond it: price = K - E[x]
     mesh = build_rect_mesh(15, 15, 1.0, 1.0)
     u = interpolate(mesh, lambda x, y: np.ones_like(np.asarray(x)))
-    assert put_price(u, 2.0, nine_point_rule()) == pytest.approx(1.5, rel=1e-12)
+    weights = expectation_weights(mesh, put_payoff(2.0), nine_point_rule())
+    assert put_price(u, weights) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_boundary_mass_diagnostic():
@@ -185,6 +187,22 @@ def test_boundary_mass_diagnostic():
         -40.0 * ((np.asarray(x) - 0.5) ** 2 + (np.asarray(y) - 0.5) ** 2)))
     rim = interpolate(mesh, lambda x, y: np.ones_like(np.asarray(x)))
     assert boundary_mass(interior, M) < 0.01 * boundary_mass(rim, M)
+
+
+def test_boundary_mass_formula():
+    # sum over boundary vertices of (M u)_i = (M 1_B) . u, not the lumped
+    # masses M 1 restricted to the boundary and dotted with u
+    params = HestonParams()
+    mesh = build_rect_mesh(60, 60, params.x_max, params.y_max)
+    M = assemble_mass(mesh)
+    u = _initial_density(mesh, params)
+    on_boundary = np.zeros(mesh.nv)
+    on_boundary[mesh.boundary_vertices] = 1.0
+    got = boundary_mass(u, M)
+    assert got == pytest.approx((M @ on_boundary) @ u.coeffs, rel=1e-14)
+    assert got == pytest.approx(6.00e-7, rel=1e-3)
+    lumped = ((M @ np.ones(mesh.nv)) * on_boundary) @ u.coeffs  # 2.52e-7
+    assert lumped < 0.5 * got
 
 
 def test_step_rows_format():
