@@ -106,10 +106,7 @@ def bell_center(params: BellParams, t: float) -> np.ndarray:
 def exact_bell(params: BellParams, x, t: float):
     """Closed-form solution at points ``x`` (shape (..., 2)) and time ``t``."""
     x = np.asarray(x, dtype=float)
-    c = bell_center(params, t)
-    spread = 1.0 + 4.0 * params.nu * params.r * t
-    d2 = (x[..., 0] - c[0]) ** 2 + (x[..., 1] - c[1]) ** 2
-    out = np.exp(-params.r * d2 / spread) / spread
+    out = bell_at_time(params, t)(x[..., 0], x[..., 1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -176,7 +173,7 @@ def _resolve_config(params: BellParams, n_steps: int,
 
 
 def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
-    """Operator and step function of ``scheme`` for the rotation field."""
+    """Operator and step of ``scheme`` or "dcgm-dirichlet", rotation field."""
     rot = rotation_field()
     if scheme == "dcgm":
         return dcgm_prepare(mesh, rot, config), dcgm_step
@@ -186,6 +183,8 @@ def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
         return supg_prepare(mesh, rot, config), supg_step
     if scheme == "centered":
         return centered_prepare(mesh, rot, config), centered_step
+    if scheme == "dcgm-dirichlet":
+        return dcgm_dirichlet_prepare(mesh, rot, config), dcgm_dirichlet_step
     raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
@@ -193,16 +192,18 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
                boundary=None):
     """Advance ``n_steps`` steps; returns final field, histories, diagnostics.
 
-    ``boundary(t)``, when given, supplies the imposed boundary values at each
-    step's end time (Dirichlet steps only).
+    ``boundary(x, t)``, when given, supplies the imposed values at the
+    boundary vertices ``x`` at each step's end time (Dirichlet steps only).
     """
-    form = stability_form(u0.mesh, config.nu, config.dt)
+    mesh = u0.mesh
+    rim = None if boundary is None else mesh.vertices[mesh.boundary_vertices]
+    form = stability_form(mesh, config.nu, config.dt)
     masses = [integral(u0)]
     norms = [nu_dt_norm(u0, form)]
     diags: list[StepDiagnostics] = []
     u = u0
     for n in range(1, n_steps + 1):
-        extra = {} if boundary is None else {"u_boundary": boundary(n * config.dt)}
+        extra = {} if rim is None else {"u_boundary": boundary(rim, n * config.dt)}
         # by keyword: perfbench's tracer reads the operator from kwargs["op"]
         u, diag = step(op=op, u_prev=u, **extra)
         diags.append(diag)
@@ -237,6 +238,22 @@ def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
     )
 
 
+def _turn(N: int, scheme: str, params: BellParams, config: SchemeConfig | None,
+          initial, exact, boundary=None) -> RunReport:
+    """One turn of ``scheme`` on the disk with ``N`` boundary vertices from
+    the interpolant of ``initial(x, y)``; the error is measured against
+    ``exact(x, y)`` and ``boundary`` is as in :func:`_run_steps`."""
+    n_steps = _n_steps(params, N)
+    config = _resolve_config(params, n_steps, config)
+    mesh = build_disk_mesh(N)
+    u0 = interpolate(mesh, initial)
+    start = time.perf_counter()
+    op, step = _prepare(scheme, mesh, config)
+    run = _run_steps(op, step, config, u0, n_steps, boundary)
+    wall = time.perf_counter() - start
+    return _report(scheme, N, mesh, config, n_steps, run, exact, wall)
+
+
 def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
                  config: SchemeConfig | None = None) -> RunReport:
     """One full rotation of the bell on the disk mesh with ``N`` boundary
@@ -244,21 +261,12 @@ def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
 
     ``params`` fixes the physics (center, sharpness, nu, T, step count);
     ``config`` contributes the remaining scheme knobs (tracer order,
-    quadrature, solver settings).  nu and dt inside ``config`` are replaced
+    quadrature, solver tolerance).  nu and dt inside ``config`` are replaced
     by the values the experiment dictates.
     """
     params = params or BellParams()
-    scheme = scheme.lower()
-    n_steps = _n_steps(params, N)
-    config = _resolve_config(params, n_steps, config)
-    mesh = build_disk_mesh(N)
-    u0 = interpolate(mesh, bell_at_time(params, 0.0))
-    start = time.perf_counter()
-    op, step = _prepare(scheme, mesh, config)
-    run = _run_steps(op, step, config, u0, n_steps)
-    wall = time.perf_counter() - start
-    return _report(scheme, N, mesh, config, n_steps, run,
-                   bell_at_time(params, params.T), wall)
+    return _turn(N, scheme.lower(), params, config, bell_at_time(params, 0.0),
+                 bell_at_time(params, params.T))
 
 
 def exact_report(N: int, params: BellParams | None = None) -> RunReport:
@@ -311,29 +319,18 @@ def compare_schemes(N: int = 200, params: BellParams | None = None,
 
 def discontinuous_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:
     """One conservative characteristic turn from the indicator of the disk
-    (x - 0.3)^2 + y^2 < 0.15.
+    (x - 0.3)^2 + y^2 < 0.15, with nu = 1e-3 unless ``config`` sets it.
 
     There is no closed form with diffusion, so the error column measures the
     distance to the initial interpolant after the full turn (transport alone
     would reproduce it exactly).
     """
-    n_steps = max(1, N // 3)
-    T = 2.0 * math.pi
-    if config is None:
-        config = SchemeConfig(nu=1e-3, dt=T / n_steps)
-    else:
-        config = replace(config, dt=T / n_steps)
-    mesh = build_disk_mesh(N)
+    params = BellParams() if config is None else BellParams(nu=config.nu)
 
     def indicator(x, y):
         return ((np.asarray(x) - 0.3) ** 2 + np.asarray(y) ** 2 < 0.15).astype(float)
 
-    u0 = interpolate(mesh, indicator)
-    start = time.perf_counter()
-    op, step = _prepare("dcgm", mesh, config)
-    run = _run_steps(op, step, config, u0, n_steps)
-    wall = time.perf_counter() - start
-    return _report("dcgm", N, mesh, config, n_steps, run, indicator, wall)
+    return _turn(N, "dcgm", params, config, indicator, indicator)
 
 
 def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
@@ -344,26 +341,15 @@ def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
     final time, and the system matrix carries the boundary-flux correction.
     """
     params = params or BellParams()
-    n_steps = _n_steps(params, N)
-    config = _resolve_config(params, n_steps, config)
-    mesh = build_disk_mesh(N)
-    u0 = interpolate(mesh, bell_at_time(params, 0.0))
-    rim = mesh.vertices[mesh.boundary_vertices]
-    start = time.perf_counter()
-    op = dcgm_dirichlet_prepare(mesh, rotation_field(), config)
-    run = _run_steps(op, dcgm_dirichlet_step, config, u0, n_steps,
-                     boundary=lambda t: exact_bell(params, rim, t))
-    wall = time.perf_counter() - start
-    return _report("dcgm-dirichlet", N, mesh, config, n_steps, run,
-                   bell_at_time(params, params.T), wall)
+    return _turn(N, "dcgm-dirichlet", params, config, bell_at_time(params, 0.0),
+                 bell_at_time(params, params.T),
+                 boundary=lambda x, t: exact_bell(params, x, t))
 
 
 def boundary_crossing_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:
     """Bell started at (0.5, 0): its support reaches the boundary during the
     turn, exercising the projection of traced points."""
-    params = BellParams(x0=(0.5, 0.0))
-    report = run_one_turn(N, "dcgm", params, config)
-    return report
+    return run_one_turn(N, "dcgm", BellParams(x0=(0.5, 0.0)), config)
 
 
 def cross_section(field: FieldP1, n_samples: int = 201):

@@ -62,11 +62,9 @@ def _write_diag_csv(path: Path, report: RunReport) -> None:
     _write(path, lines)
 
 
-def _write_cut_csv(path: Path, report: RunReport, n_samples: int = 201) -> None:
-    if report.final is None:
-        return
+def _write_cut_csv(path: Path, report: RunReport) -> None:
     lines = ["x,u"]
-    for x, u in cross_section(report.final, n_samples):
+    for x, u in cross_section(report.final):
         lines.append(f"{x:.17g},{u:.17g}")
     _write(path, lines)
 
@@ -114,19 +112,24 @@ def _scheme_config(args: argparse.Namespace) -> SchemeConfig:
     )
 
 
-def _add_bell_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=float, default=20.0,
-                   help="bell sharpness (default is the calibrated benchmark value)")
+def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_scheme_config` reads; every bell-type run has them."""
     p.add_argument("--nu", type=float, default=1e-3, help="diffusion coefficient")
-    p.add_argument("--x0", type=float, nargs=2, default=[0.35, 0.0],
-                   metavar=("X", "Y"), help="initial bell center")
-    p.add_argument("--steps", type=int, default=None,
-                   help="time steps per turn (default: N // 3)")
     p.add_argument("--sigma", type=int, default=1, choices=(0, 1),
                    help="tracer order switch")
     p.add_argument("--quadrature", default="ninepoint",
                    choices=("midedge", "ninepoint"))
     p.add_argument("--solver-tol", type=float, default=1e-13)
+
+
+def _add_bell_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--r", type=float, default=20.0,
+                   help="bell sharpness (default is the calibrated benchmark value)")
+    p.add_argument("--x0", type=float, nargs=2, default=[0.35, 0.0],
+                   metavar=("X", "Y"), help="initial bell center")
+    p.add_argument("--steps", type=int, default=None,
+                   help="time steps per turn (default: N // 3)")
+    _add_scheme_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,11 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discont", help="indicator-datum robustness run")
     p.add_argument("--N", type=int, default=200)
-    p.add_argument("--nu", type=float, default=1e-3)
-    p.add_argument("--sigma", type=int, default=1, choices=(0, 1))
-    p.add_argument("--quadrature", default="ninepoint",
-                   choices=("midedge", "ninepoint"))
-    p.add_argument("--solver-tol", type=float, default=1e-13)
+    _add_scheme_flags(p)
     p.set_defaults(func=cmd_discont)
 
     p = sub.add_parser("heston", help="Heston forward-density run")
@@ -260,8 +259,7 @@ def cmd_discont(args, out: Path) -> dict:
     report = discontinuous_test(args.N, _scheme_config(args))
     _print_row(report)
     _write_diag_csv(out / "discont_diag.csv", report)
-    if report.final is not None:
-        write_field_csv(report.final, out / f"discont{args.N}.csv")
+    write_field_csv(report.final, out / f"discont{args.N}.csv")
     drift = report.mass_drift
     print(f"mass drift {drift:.3e}, min {report.min_value:.3e}, "
           f"max {report.max_value:.6f}")

@@ -239,7 +239,7 @@ def _initial_density(mesh: TriMesh, params: HestonParams) -> FieldP1:
 
 
 def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
-               solver_tol: float = 1e-12, on_step=None):
+               on_step=None):
     """Evolve the initial product-Gaussian density to T on an nx-by-ny grid.
 
     Returns (final density, list of HestonStep, final put price).  The
@@ -256,7 +256,7 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     tensor = heston_operator(params)
     rule = nine_point_rule()
     # nu = 1: the tensor stiffness carries the diffusion coefficients
-    config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=solver_tol)
+    config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=1e-12)
     stiffness = assemble_tensor_stiffness(mesh, tensor.diffusion, rule)
     op = dcgm_prepare(mesh, tensor.drift, config, stiffness=stiffness)
     put_weights = expectation_weights(mesh, put_payoff(params.strike), rule)

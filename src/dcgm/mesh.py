@@ -79,12 +79,17 @@ class TriMesh:
 
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (nv, 2)")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (nt, 3)")
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= self.nv
-        ):
-            raise ValueError("triangle vertex index out of range")
+        for name, idx in (("triangle", self.triangles),
+                          ("boundary edge", self.boundary_edges)):
+            if idx.size and (idx.min() < 0 or idx.max() >= self.nv):
+                raise ValueError(f"{name} vertex index out of range")
+        ends = self.vertices[self.boundary_edges]  # (nbe, 2, 2)
+        if np.any(np.all(ends[:, 0] == ends[:, 1], axis=1)):
+            raise ValueError("boundary edge of zero length")
         if self.boundary_labels.shape != (self.boundary_edges.shape[0],):
             raise ValueError("one label per boundary edge required")
         if self.regions.shape != (self.triangles.shape[0],):
@@ -578,8 +583,6 @@ def load_mesh(path) -> TriMesh:
     if nbe:
         edges = be_rec[:, :2] - 1
         labels = be_rec[:, 2]
-        if edges.min() < 0 or edges.max() >= nv:
-            raise ValueError("boundary edge vertex index out of range")
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
         labels = np.zeros(0, dtype=np.int64)

@@ -6,9 +6,10 @@ All schemes advance the implicit-diffusion problem
 
 With a steady velocity field and a fixed dt each scheme is one linear map,
 ``lhs u^n = rhs_mat u^{n-1}``, whose two sparse matrices a ``*_prepare``
-function builds once.  Every step is then ``step(op, u_prev)`` and returns
-the new field with its :class:`StepDiagnostics`.  The schemes differ in the
-transport matrix ``rhs_mat``:
+function builds once into a :class:`LinearStep` record or one extending it.
+Every step is then ``step(op, u_prev)`` and returns the new field with its
+:class:`StepDiagnostics`.  The schemes differ in the transport matrix
+``rhs_mat``:
 
 * dual characteristic scheme: test functions are pushed forward along the
   flow, rhs_mat = P_fwd^T W P_src.  Row q of P_src holds the barycentric
@@ -49,6 +50,7 @@ __all__ = [
     "StepDiagnostics",
     "StepError",
     "CflWarning",
+    "LinearStep",
     "DcgmOperator",
     "dcgm_prepare",
     "dcgm_step",
@@ -56,7 +58,6 @@ __all__ = [
     "dcgm_dirichlet_prepare",
     "dcgm_dirichlet_step",
     "pcgm_step",
-    "AdvectionSystem",
     "supg_prepare",
     "supg_step",
     "centered_prepare",
@@ -82,7 +83,6 @@ class SchemeConfig:
     sigma: float = 1.0
     quadrature: str = "ninepoint"
     solver_tol: float = 1e-13
-    solver_max_iter: int | None = None
 
     def __post_init__(self):
         if not self.nu > 0.0:
@@ -130,8 +130,24 @@ class StepDiagnostics:
 
 
 @dataclass(eq=False)
-class DcgmOperator:
-    """Characteristic step ``lhs u^n = rhs_mat u^{n-1}`` for a steady field.
+class LinearStep:
+    """One step ``lhs u^n = rhs_mat u^{n-1}``, fixed at prepare time.
+
+    ``projected_fraction`` is the share of traced points that left the
+    domain and were projected back (0 for the Eulerian schemes, which trace
+    none).
+    """
+
+    mesh: TriMesh
+    lhs: sp.csr_matrix
+    rhs_mat: sp.csr_matrix
+    solver_tol: float
+    projected_fraction: float
+
+
+@dataclass(eq=False)
+class DcgmOperator(LinearStep):
+    """Characteristic step for a steady field.
 
     ``lhs`` is the SPD matrix mass + nu dt stiffness.  ``rhs_mat`` is the
     transport: the conservative forward-image scatter P_fwd^T W P_src when
@@ -139,15 +155,9 @@ class DcgmOperator:
     otherwise.  ``traced`` keeps the located images both were built from.
     """
 
-    mesh: TriMesh
     mass: sp.csr_matrix
-    lhs: sp.csr_matrix
-    rhs_mat: sp.csr_matrix
     traced: TracedPoints
     dual: bool
-    projected_fraction: float
-    solver_tol: float = 1e-13
-    solver_max_iter: int | None = None
 
 
 def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
@@ -186,18 +196,17 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
         fraction = tp.bwd_projected_fraction
     return DcgmOperator(
         mesh=mesh,
-        mass=mass,
         lhs=mass + (config.nu * config.dt) * stiffness,
         rhs_mat=rhs_mat.tocsr(),
+        solver_tol=config.solver_tol,
+        projected_fraction=fraction,
+        mass=mass,
         traced=tp,
         dual=dual,
-        projected_fraction=fraction,
-        solver_tol=config.solver_tol,
-        solver_max_iter=config.solver_max_iter,
     )
 
 
-def _advance(op, u_prev: FieldP1, solve, label: str, g=None):
+def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str, g=None):
     """Solve ``op.lhs x = op.rhs_mat @ u_prev`` warm-started from u_prev;
     returns the new field and its diagnostics.
 
@@ -212,8 +221,7 @@ def _advance(op, u_prev: FieldP1, solve, label: str, g=None):
     if g is not None:
         rhs = rhs - op.coupling @ g[op.boundary]
         x0 = x0[op.interior]
-    x, report = solve(op.lhs, rhs, tol=op.solver_tol,
-                      max_iter=op.solver_max_iter, x0=x0)
+    x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0)
     if not report.converged:
         raise StepError(f"{label} step solve failed", report)
     if g is not None:
@@ -273,21 +281,8 @@ def _advection_matrices(mesh: TriMesh, field: VelocityField):
     return assemble_local(mesh, local_c), assemble_local(mesh, local_s)
 
 
-@dataclass(eq=False)
-class AdvectionSystem:
-    """Eulerian step ``lhs u^n = rhs_mat u^{n-1}``; no point is traced, so
-    none is projected."""
-
-    mesh: TriMesh
-    lhs: sp.csr_matrix
-    rhs_mat: sp.csr_matrix
-    solver_tol: float
-    solver_max_iter: int | None
-    projected_fraction: float = 0.0
-
-
 def supg_prepare(mesh: TriMesh, field: VelocityField,
-                 config: SchemeConfig) -> AdvectionSystem:
+                 config: SchemeConfig) -> LinearStep:
     """Streamline-upwind system: test functions w + alpha a.grad w,
     alpha = 0.3.
 
@@ -301,12 +296,11 @@ def supg_prepare(mesh: TriMesh, field: VelocityField,
     base = mass + _SUPG_ALPHA * conv.T
     lhs = base + config.dt * (conv + _SUPG_ALPHA * stream
                               + config.nu * stiffness)
-    return AdvectionSystem(mesh, lhs, base, config.solver_tol,
-                          config.solver_max_iter)
+    return LinearStep(mesh, lhs, base, config.solver_tol, 0.0)
 
 
 def centered_prepare(mesh: TriMesh, field: VelocityField,
-                     config: SchemeConfig) -> AdvectionSystem:
+                     config: SchemeConfig) -> LinearStep:
     """Plain centered-convection system: lhs = M + dt (C + nu K), rhs = M.
 
     Warns when dt exceeds the accuracy guideline h^2 / (2 nu): the implicit
@@ -325,8 +319,7 @@ def centered_prepare(mesh: TriMesh, field: VelocityField,
     stiffness = assemble_stiffness(mesh)
     conv, _ = _advection_matrices(mesh, field)
     lhs = mass + config.dt * (conv + config.nu * stiffness)
-    return AdvectionSystem(mesh, lhs, mass, config.solver_tol,
-                          config.solver_max_iter)
+    return LinearStep(mesh, lhs, mass, config.solver_tol, 0.0)
 
 
 def cfl_dt_guideline(mesh: TriMesh, nu: float) -> float:
@@ -334,12 +327,12 @@ def cfl_dt_guideline(mesh: TriMesh, nu: float) -> float:
     return mesh.h_max**2 / (2.0 * nu)
 
 
-def supg_step(op: AdvectionSystem, u_prev: FieldP1):
+def supg_step(op: LinearStep, u_prev: FieldP1):
     """One implicit streamline-upwind step."""
     return _advance(op, u_prev, bicgstab_solve, "streamline-upwind")
 
 
-def centered_step(op: AdvectionSystem, u_prev: FieldP1):
+def centered_step(op: LinearStep, u_prev: FieldP1):
     """One implicit centered-convection step (no stabilization)."""
     return _advance(op, u_prev, bicgstab_solve, "centered")
 
@@ -379,7 +372,7 @@ def _boundary_flux_matrix(mesh: TriMesh, field: VelocityField) -> sp.csr_matrix:
 
 
 @dataclass(eq=False)
-class DirichletOperator:
+class DirichletOperator(LinearStep):
     """Characteristic step with strongly imposed boundary values.
 
     The unknowns are the interior vertices: ``lhs`` is the interior block of
@@ -388,15 +381,9 @@ class DirichletOperator:
     carries the imposed values into the right-hand side.
     """
 
-    mesh: TriMesh
-    lhs: sp.csr_matrix
-    rhs_mat: sp.csr_matrix
     coupling: sp.csr_matrix
     interior: np.ndarray
     boundary: np.ndarray
-    projected_fraction: float
-    solver_tol: float
-    solver_max_iter: int | None
 
 
 def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
@@ -418,12 +405,11 @@ def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
         mesh=mesh,
         lhs=rows[:, interior],
         rhs_mat=op.rhs_mat[interior],
+        solver_tol=config.solver_tol,
+        projected_fraction=op.projected_fraction,
         coupling=rows[:, boundary],
         interior=interior,
         boundary=boundary,
-        projected_fraction=op.projected_fraction,
-        solver_tol=config.solver_tol,
-        solver_max_iter=config.solver_max_iter,
     )
 
 

@@ -49,26 +49,48 @@ def test_bell_subcommand(tmp_path, capsys):
     assert "dcgm" in shown
 
 
-def test_bell_deterministic_artifacts(tmp_path):
-    out1 = tmp_path / "r1"
-    out2 = tmp_path / "r2"
-    for out in (out1, out2):
-        assert run_cli(["--out", str(out), "bell", "--N", "60"]) == 0
-    for name in ("table1.csv", "diag_dcgm_60.csv", "cut60.csv"):
-        a = (out1 / name).read_bytes()
-        b = (out2 / name).read_bytes()
-        assert a == b, name
-    # manifests agree except for the output-directory record itself
-    keep = lambda p: [ln for ln in (p / "manifest.txt").read_text().splitlines()
-                      if str(tmp_path) not in ln]
-    assert keep(out1) == keep(out2)
+DETERMINISM_RUNS = {
+    "bell": ["bell", "--N", "40,50"],
+    "bell-dirichlet": ["bell", "--dirichlet", "--N", "40"],
+    "compare": ["compare", "--N", "40"],
+    "convergence": ["convergence", "--N", "30,40,50"],
+    "discont": ["discont", "--N", "40"],
+    "heston": ["heston", "--nx", "10", "--ny", "10", "--steps", "3",
+               "--T", "0.3", "--snapshot-every", "2"],
+}
+
+
+def _artifacts(out):
+    """Every file a run wrote; the manifest drops its output-directory
+    record, the only line allowed to differ between two runs."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    files["manifest.txt"] = [ln for ln in files["manifest.txt"].splitlines()
+                             if not ln.startswith(b"out=")]
+    return files
+
+
+@pytest.mark.parametrize("name", list(DETERMINISM_RUNS))
+def test_deterministic_artifacts(tmp_path, name):
+    runs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in runs:
+        assert run_cli(["--out", str(out)] + DETERMINISM_RUNS[name]) == 0
+    first, second = (_artifacts(out) for out in runs)
+    assert any(k.endswith(".csv") for k in first)
+    assert first == second
+
+
+def test_discont_nu_reaches_the_solve(tmp_path):
+    diags = []
+    for extra in ([], ["--nu", "0.002"]):
+        out = tmp_path / f"d{len(extra)}"
+        assert run_cli(["--out", str(out)] + DETERMINISM_RUNS["discont"] + extra) == 0
+        diags.append((out / "discont_diag.csv").read_bytes())
+    assert diags[0] != diags[1]
 
 
 def test_compare_subcommand(tmp_path):
-    outs = [tmp_path / "c1", tmp_path / "c2"]
-    for out in outs:
-        assert run_cli(["--out", str(out), "compare", "--N", "60"]) == 0
-    out = outs[0]
+    out = tmp_path / "c"
+    assert run_cli(["--out", str(out), "compare", "--N", "60"]) == 0
     table = (out / "table2.csv").read_text().strip().splitlines()
     assert len(table) == 6  # header + four schemes + exact row
     schemes = [line.split(",")[0] for line in table[1:]]
@@ -78,8 +100,6 @@ def test_compare_subcommand(tmp_path):
     for scheme in schemes[:-1]:
         assert (out / f"diag_{scheme}_60.csv").exists(), scheme
     assert not (out / "diag_exact_60.csv").exists()
-    for name in ("table2.csv", "diag_supg_60.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_convergence_subcommand(tmp_path):

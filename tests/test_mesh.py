@@ -67,6 +67,24 @@ def test_ccw_required():
         TriMesh(verts, tris, edges, np.ones(3, dtype=np.int32))
 
 
+@pytest.mark.parametrize("edges, vertex, match", [
+    ([[0, -1]], None, "boundary edge vertex index out of range"),
+    ([[0, 99]], None, "boundary edge vertex index out of range"),
+    ([[0, 0]], None, "boundary edge of zero length"),
+    (None, [np.nan, 0.5], "vertex coordinates must be finite"),
+], ids=["negative-index", "index-past-nv", "zero-length-edge", "nan-vertex"])
+def test_bad_input_rejected_at_construction(edges, vertex, match):
+    m = build_rect_mesh(3, 3, 1.0, 1.0)
+    verts = m.vertices.copy()
+    be, labels = m.boundary_edges, m.boundary_labels
+    if edges is not None:
+        be, labels = np.array(edges), np.ones(len(edges), dtype=np.int64)
+    if vertex is not None:
+        verts[4] = vertex
+    with pytest.raises(ValueError, match=match):
+        TriMesh(verts, m.triangles, be, labels)
+
+
 def test_h_max(unit_square):
     # 9x9 grid on the unit square: diagonal of one cell
     assert unit_square.h_max == pytest.approx(math.sqrt(2.0) / 8.0, rel=1e-12)

@@ -68,10 +68,14 @@ def test_dcgm_operator_reuse_deterministic(disk100):
 
 
 def test_dcgm_solver_failure_raises(disk100):
-    cfg = SchemeConfig(nu=1e-3, dt=0.05, solver_tol=1e-15, solver_max_iter=1)
-    op = dcgm_prepare(disk100, rotation_field(), cfg)
-    with pytest.raises(StepError):
+    # a negated system matrix is negative definite: CG meets nonpositive
+    # curvature on its first direction and the step must not pass it off
+    op = dcgm_prepare(disk100, rotation_field(), CFG)
+    op.lhs = -op.lhs
+    with pytest.raises(StepError) as err:
         dcgm_step(op, bump(disk100))
+    assert not err.value.report.converged
+    assert err.value.report.iterations == 0
 
 
 def test_pcgm_translation_oracle():
