@@ -174,9 +174,10 @@ def build_traced_points(
 ) -> TracedPoints:
     """Trace every quadrature node of every triangle one step both ways.
 
-    The walk that locates each image starts from the node's own triangle,
-    so the cost per node is proportional to the number of triangles crossed
-    by the characteristic.
+    The walk that locates each image starts from the mesh's bucket-grid
+    cell of the image, so its cost does not grow with the length of the
+    characteristic; the node's own triangle is the start only where that
+    cell holds no triangle.
     """
     nq = len(rule)
     nt = mesh.nt

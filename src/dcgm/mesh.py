@@ -1,10 +1,11 @@
 """Unstructured triangle meshes: construction, text IO, point location.
 
 Meshes are plain vertex/connectivity arrays plus a few precomputed tables
-(areas, barycentric transforms, edge adjacency) used by assembly and by the
-point-location walk.  Triangles are stored counterclockwise; boundary edges
-are stored oriented so that the domain lies on their left, which makes the
-outward normal of edge (a, b) proportional to (b_y - a_y, a_x - b_x).
+(areas, barycentric transforms, edge adjacency, a bucket grid of start
+triangles) used by assembly and by the point-location walk.  Triangles are
+stored counterclockwise; boundary edges are stored oriented so that the
+domain lies on their left, which makes the outward normal of edge (a, b)
+proportional to (b_y - a_y, a_x - b_x).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
 # barycentric slack accepted by the location predicates; a point is treated
 # as inside a triangle when all coordinates are >= -_BARY_TOL
 _BARY_TOL = 1e-12
+# triangle centroids per cell of the bucket grid that starts each walk
+_CENTROIDS_PER_CELL = 2
 
 
 @dataclass(eq=False)
@@ -106,7 +109,6 @@ class TriMesh:
             )
         self.areas = 0.5 * det
         self._tri_xy = tri_xy
-        self._v0 = tri_xy[:, 0]
         # rows of the barycentric transform: for p in triangle k with
         # d = p - v0, the coordinates are l1 = R[k,0].d, l2 = R[k,1].d,
         # l0 = 1 - l1 - l2
@@ -116,8 +118,22 @@ class TriMesh:
         rows[:, 1, 0] = -e1[:, 1] / det
         rows[:, 1, 1] = e1[:, 0] / det
         self._bary_rows = rows
+        # flat copies of v0 and R, so that the walk gathers 1-D arrays
+        self._v0x, self._v0y = tri_xy[:, 0, 0].copy(), tri_xy[:, 0, 1].copy()
+        self._r00, self._r01 = rows[:, 0, 0].copy(), rows[:, 0, 1].copy()
+        self._r10, self._r11 = rows[:, 1, 0].copy(), rows[:, 1, 1].copy()
 
         self.neighbors = self._build_neighbors()
+        # bucket grid over the vertex bounding box, about two centroids per
+        # cell: _cell_tri[c] is the highest-index triangle whose centroid lies
+        # in cell c (-1 if none), where walks for points in c start
+        g = max(1, math.isqrt(self.nt // _CENTROIDS_PER_CELL))
+        lo = self.vertices.min(axis=0)
+        self._grid = (lo, g / (self.vertices.max(axis=0) - lo), g)
+        centroids = tri_xy.mean(axis=1)
+        self._cell_tri = np.full(g * g, -1, dtype=np.int64)
+        np.maximum.at(self._cell_tri, self._cell_of(centroids[:, 0], centroids[:, 1]),
+                      np.arange(self.nt))
         # triangles around each vertex: _vertex_tris[_vertex_start[v]:
         # _vertex_start[v + 1]], for the location tie-break
         flat = self.triangles.ravel()
@@ -186,39 +202,48 @@ class TriMesh:
         points = np.asarray(points, dtype=float)
         scalar = points.ndim == 1
         pts = points.reshape(-1, 2)
-        t = tris.reshape(-1)
-        d = pts - self._v0[t]
-        rows = self._bary_rows[t]
-        l1 = rows[:, 0, 0] * d[:, 0] + rows[:, 0, 1] * d[:, 1]
-        l2 = rows[:, 1, 0] * d[:, 0] + rows[:, 1, 1] * d[:, 1]
-        lam = np.empty((t.size, 3))
-        lam[:, 0] = 1.0 - l1 - l2
-        lam[:, 1] = l1
-        lam[:, 2] = l2
+        lam = np.column_stack(self._bary3(tris.reshape(-1), pts[:, 0], pts[:, 1]))
         return lam[0] if scalar else lam
+
+    def _bary3(self, t, x, y):
+        """Barycentric coordinates (l0, l1, l2), each 1-D, of the points
+        (x, y) in triangles ``t`` (indices, or ``slice(None)`` for all)."""
+        dx = x - self._v0x[t]
+        dy = y - self._v0y[t]
+        l1 = self._r00[t] * dx + self._r01[t] * dy
+        l2 = self._r10[t] * dx + self._r11[t] * dy
+        return 1.0 - l1 - l2, l1, l2
+
+    def _cell_of(self, x, y) -> np.ndarray:
+        """Bucket-grid cell of each point; points off the grid get the
+        nearest cell."""
+        lo, scale, g = self._grid
+        ix = np.clip((x - lo[0]) * scale[0], 0, g - 1).astype(np.int64)
+        iy = np.clip((y - lo[1]) * scale[1], 0, g - 1).astype(np.int64)
+        return iy * g + ix
 
     # ------------------------------------------------------------------
     # derived-table construction
 
     def _build_neighbors(self) -> np.ndarray:
-        """neighbors[k, j] = triangle across the edge opposite local vertex j."""
-        nt = self.nt
-        neigh = np.full((nt, 3), -1, dtype=np.int64)
-        edge_owner: dict[tuple[int, int], tuple[int, int]] = {}
-        tris = self.triangles
-        for k in range(nt):
-            for j in range(3):
-                a = int(tris[k, (j + 1) % 3])
-                b = int(tris[k, (j + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                other = edge_owner.pop(key, None)
-                if other is None:
-                    edge_owner[key] = (k, j)
-                else:
-                    k2, j2 = other
-                    neigh[k, j] = k2
-                    neigh[k2, j2] = k
-        return neigh
+        """neighbors[k, j] = triangle across the edge opposite local vertex j.
+
+        The 3 nt edges are sorted by their vertex pair, and the two edges
+        with the same pair are matched.
+        """
+        a = self.triangles[:, [1, 2, 0]].ravel()
+        b = self.triangles[:, [2, 0, 1]].ravel()
+        key = np.minimum(a, b) * self.nv + np.maximum(a, b)
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[2:] == key[:-2]):
+            raise ValueError("edge shared by more than two triangles")
+        first = np.flatnonzero(key[1:] == key[:-1])
+        one, two = order[first], order[first + 1]
+        neigh = np.full(key.size, -1, dtype=np.int64)
+        neigh[one] = two // 3
+        neigh[two] = one // 3
+        return neigh.reshape(-1, 3)
 
     def _boundary_loop(self) -> np.ndarray | None:
         """Vertex sequence of the boundary if it is a single simple loop."""
@@ -266,11 +291,7 @@ def _scan_for_point(mesh: TriMesh, point: np.ndarray):
     Brute force over all triangles; the fallback when the edge walk steps
     off a non-convex boundary or runs out of rounds.
     """
-    d = point[None, :] - mesh._v0
-    rows = mesh._bary_rows
-    l1 = rows[:, 0, 0] * d[:, 0] + rows[:, 0, 1] * d[:, 1]
-    l2 = rows[:, 1, 0] * d[:, 0] + rows[:, 1, 1] * d[:, 1]
-    l0 = 1.0 - l1 - l2
+    l0, l1, l2 = mesh._bary3(slice(None), point[0], point[1])
     ok = (l0 >= -_BARY_TOL) & (l1 >= -_BARY_TOL) & (l2 >= -_BARY_TOL)
     hits = np.flatnonzero(ok)
     if hits.size == 0:
@@ -302,54 +323,65 @@ def locate_point(mesh: TriMesh, point, hint=None):
     For one point (shape (2,)) returns ``(triangle_index, barycentric)`` or
     ``None`` when the point lies outside the mesh.  For a batch (m, 2)
     returns ``(tris, bary)`` with ``tris[i] = -1`` for outside points.
-    ``hint`` is the starting triangle of the walk, one for all points or one
-    per point.  Coordinates are clamped to the closed triangle and sum to
-    one.  The result does not depend on ``hint``: a point within tolerance
-    of an edge is reported in the lowest-index triangle that contains it.
+    The walk starts at the triangle stored for the point's cell of the
+    mesh's bucket grid, a triangle or two away; ``hint`` (one for all points
+    or one per point, default triangle 0) is the start only where that cell
+    holds no triangle.  Coordinates are clamped to the closed triangle and
+    sum to one.  The result does not depend on where the walk starts: a
+    point within tolerance of an edge is reported in the lowest-index
+    triangle that contains it.
     """
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 2)
     m = pts.shape[0]
-    start = 0 if hint is None else hint
-    cur = np.array(np.broadcast_to(start, (m,)), dtype=np.int64)
-    cur[(cur < 0) | (cur >= mesh.nt)] = 0
     tri = np.full(m, -1, dtype=np.int64)
-    bary = np.zeros((m, 3))
+    lam = np.zeros((3, m))  # rows l0, l1, l2
+    fallback = np.array(np.broadcast_to(0 if hint is None else hint, (m,)), dtype=np.int64)
+    fallback[(fallback < 0) | (fallback >= mesh.nt)] = 0
+    x, y = pts[:, 0], pts[:, 1]
+    # a non-finite point lies in no triangle and has no grid cell
+    active = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+    x, y = x[active], y[active]
+    cur = mesh._cell_tri[mesh._cell_of(x, y)]
+    cur = np.where(cur >= 0, cur, fallback[active])
+    neighbors = mesh.neighbors.ravel()
     stuck = []
-    active = np.arange(m)
     for _ in range(4 * mesh.nt):
         if active.size == 0:
             break
-        lam = mesh.barycentric(cur, pts[active])
-        j = lam.argmin(axis=1)
-        done = lam.min(axis=1) >= -_BARY_TOL
+        l0, l1, l2 = mesh._bary3(cur, x, y)
+        low = np.minimum(np.minimum(l0, l1), l2)
+        done = low >= -_BARY_TOL
         if done.any():
-            tri[active[done]] = cur[done]
-            bary[active[done]] = lam[done]
-            active, cur, j = active[~done], cur[~done], j[~done]
-        nxt = mesh.neighbors[cur, j]
-        off = nxt < 0
-        if off.any():
-            if not mesh.convex:
-                # stepping off the boundary of a non-convex domain proves nothing
-                stuck.append(active[off])
-            active, nxt = active[~off], nxt[~off]
-        cur = nxt
+            hit = active[done]
+            tri[hit] = cur[done]
+            lam[0, hit], lam[1, hit], lam[2, hit] = l0[done], l1[done], l2[done]
+        # cross the edge opposite the first most negative coordinate
+        j = np.where(l0 == low, 0, np.where(l1 == low, 1, 2))
+        nxt = neighbors[3 * cur + j]
+        off = ~done & (nxt < 0)
+        if not mesh.convex and off.any():
+            # stepping off the boundary of a non-convex domain proves nothing
+            stuck.append(active[off])
+        keep = ~done & (nxt >= 0)
+        active, cur, x, y = active[keep], nxt[keep], x[keep], y[keep]
     stuck.append(active)  # ran out of rounds
     for i in np.concatenate(stuck):
         hit = _scan_for_point(mesh, pts[i])
         if hit is not None:
-            tri[i], bary[i] = hit
+            tri[i], lam[:, i] = hit
     # several triangles accept a point on or next to an edge: report the
     # lowest index so the answer does not depend on where the walk came from
-    edge = np.flatnonzero((tri >= 0) & (bary.min(axis=1) <= _BARY_TOL))
+    edge = np.flatnonzero((tri >= 0) & (lam.min(axis=0) <= _BARY_TOL))
     if edge.size:
         tri[edge] = _lowest_containing(mesh, pts[edge], tri[edge])
-        bary[edge] = mesh.barycentric(tri[edge], pts[edge])
+        lam[:, edge] = mesh.barycentric(tri[edge], pts[edge]).T
     found = tri >= 0
-    bary[found] = np.clip(bary[found], 0.0, 1.0)
-    bary[found] /= bary[found].sum(axis=1, keepdims=True)
+    lam = np.clip(lam, 0.0, 1.0)
+    total = lam.sum(axis=0)
+    total[~found] = 1.0
+    bary = np.ascontiguousarray((lam / total).T)
     if single:
         return (int(tri[0]), bary[0]) if found[0] else None
     return tri, bary

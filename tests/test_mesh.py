@@ -85,6 +85,15 @@ def test_bad_input_rejected_at_construction(edges, vertex, match):
         TriMesh(verts, m.triangles, be, labels)
 
 
+def test_edge_in_three_triangles_rejected():
+    # three triangles folded over the edge (0, 1)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+    tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    edges = np.array([[0, 1], [1, 4], [4, 0]])
+    with pytest.raises(ValueError, match="edge shared by more than two triangles"):
+        TriMesh(verts, tris, edges, np.ones(3, dtype=np.int64))
+
+
 def test_h_max(unit_square):
     # 9x9 grid on the unit square: diagonal of one cell
     assert unit_square.h_max == pytest.approx(math.sqrt(2.0) / 8.0, rel=1e-12)
@@ -131,6 +140,8 @@ def test_locate_hint_independent(disk100, rng):
 def test_locate_outside(disk100):
     assert locate_point(disk100, np.array([1.5, 0.0])) is None
     assert locate_point(disk100, np.array([0.9, 0.9])) is None
+    tri, _ = locate_point(disk100, np.array([[np.nan, 0.0], [0.0, np.inf], [0.1, 0.2]]))
+    assert tri[0] == tri[1] == -1 and tri[2] >= 0
 
 
 @st.composite
@@ -210,10 +221,15 @@ def segment_distance(p, a, b):
     return float(np.hypot(*(a + t * (b - a) - p)))
 
 
-def test_non_convex_location_and_projection(rng, monkeypatch):
-    mesh = l_shaped_mesh()
+@settings(max_examples=20, deadline=None)
+@example(half=4, seed=20260822)
+@given(half=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_non_convex_location_and_projection(half, seed):
+    # an odd vertex count puts a grid line through the reflex corner
+    mesh = l_shaped_mesh(2 * half + 1)
     assert not mesh.convex
     assert mesh.total_area == pytest.approx(0.75, abs=1e-14)
+    rng = np.random.default_rng(seed)
 
     scans = []
 
@@ -221,7 +237,6 @@ def test_non_convex_location_and_projection(rng, monkeypatch):
         scans.append(p)
         return _scan_for_point(m, p)
 
-    monkeypatch.setattr(mesh_module, "_scan_for_point", counted_scan)
     # around and inside the notch, on the grid lines through the reflex corner
     # and at the vertices
     grid = np.linspace(0.3, 1.1, 17)
@@ -229,10 +244,11 @@ def test_non_convex_location_and_projection(rng, monkeypatch):
     pts = np.vstack([lines, rng.uniform(-0.1, 1.1, size=(300, 2)), mesh.vertices])
     want = [_scan_for_point(mesh, p) for p in pts]
     want_tri = np.array([-1 if w is None else w[0] for w in want])
-    scans.clear()
-    for hint in (None, rng.integers(0, mesh.nt, size=len(pts))):
-        tri, _ = locate_point(mesh, pts, hint)
-        assert np.array_equal(tri, want_tri)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mesh_module, "_scan_for_point", counted_scan)
+        for hint in (None, rng.integers(0, mesh.nt, size=len(pts))):
+            tri, _ = locate_point(mesh, pts, hint)
+            assert np.array_equal(tri, want_tri)
     assert scans  # walks that stepped off a boundary edge took the fallback
 
     inside = pts[want_tri >= 0]
@@ -313,3 +329,47 @@ def test_neighbors_consistent(disk60):
             other = nb[k, j]
             if other >= 0:
                 assert k in nb[other]
+
+
+def edge_dictionary_neighbors(mesh):
+    """neighbors by brute force: match each triangle edge with the earlier
+    unmatched edge on the same two vertices."""
+    want = np.full((mesh.nt, 3), -1)
+    unmatched = {}
+    for k, tri in enumerate(mesh.triangles.tolist()):
+        for j in range(3):
+            edge = frozenset((tri[(j + 1) % 3], tri[(j + 2) % 3]))
+            if edge in unmatched:
+                k2, j2 = unmatched.pop(edge)
+                want[k, j], want[k2, j2] = k2, k
+            else:
+                unmatched[edge] = (k, j)
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(
+    st.builds(build_rect_mesh, st.integers(2, 12), st.integers(2, 12),
+              st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    st.builds(build_disk_mesh, st.integers(8, 120)),
+    st.builds(l_shaped_mesh)))
+def test_neighbor_and_grid_tables(mesh):
+    assert np.array_equal(mesh.neighbors, edge_dictionary_neighbors(mesh))
+
+    lo, scale, g = mesh._grid
+    cells = mesh._cell_tri
+    assert cells.shape == (g * g,)
+    assert np.all((cells == -1) | ((cells >= 0) & (cells < mesh.nt)))
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    # each stored triangle's centroid lies in the cell that stores it
+    stored = np.flatnonzero(cells >= 0)
+    width = 1.0 / scale
+    low = lo + np.column_stack([stored % g, stored // g]) * width
+    c = centroids[cells[stored]]
+    assert np.all((c >= low - 1e-9 * width) & (c <= low + (1.0 + 1e-9) * width))
+    # and is the highest-index triangle whose centroid lies there
+    ix, iy = np.minimum(np.floor((centroids - lo) * scale), g - 1).astype(int).T
+    want = np.full(g * g, -1)
+    for k, cell in enumerate(iy * g + ix):
+        want[cell] = k
+    assert np.array_equal(cells, want)
