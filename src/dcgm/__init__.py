@@ -56,7 +56,7 @@ from .heston import (
     put_payoff,
     put_price,
 )
-from .linalg import SolveReport, bicgstab_solve, cg_solve
+from .linalg import SolutionHistory, SolveReport, bicgstab_solve, cg_solve
 from .mesh import (
     TriMesh,
     build_disk_mesh,

@@ -32,6 +32,7 @@ from .fem import (
     nu_dt_norm,
     stability_form,
 )
+from .linalg import SolutionHistory
 from .mesh import TriMesh, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
 from .schemes import (
@@ -192,6 +193,9 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
                boundary=None):
     """Advance ``n_steps`` steps; returns final field, histories, diagnostics.
 
+    Every solve of the run starts from the run's recent solutions (one
+    :class:`~dcgm.linalg.SolutionHistory` for the run's single matrix).
+
     ``boundary(x, t)``, when given, supplies the imposed values at the
     boundary vertices ``x`` at each step's end time (Dirichlet steps only).
     """
@@ -201,11 +205,12 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
     masses = [integral(u0)]
     norms = [nu_dt_norm(u0, form)]
     diags: list[StepDiagnostics] = []
+    history = SolutionHistory()
     u = u0
     for n in range(1, n_steps + 1):
         extra = {} if rim is None else {"u_boundary": boundary(rim, n * config.dt)}
         # by keyword: perfbench's tracer reads the operator from kwargs["op"]
-        u, diag = step(op=op, u_prev=u, **extra)
+        u, diag = step(op=op, u_prev=u, history=history, **extra)
         diags.append(diag)
         masses.append(diag.mass)
         norms.append(nu_dt_norm(u, form))

@@ -22,6 +22,9 @@ import numpy as np
 from .mesh import TriMesh, locate_point, project_to_domain
 from .quadrature import QuadratureRule
 
+# points traced at a time; bounds the (m, 2, 2) Jacobian and its temporaries
+_TRACE_BLOCK = 8192
+
 __all__ = [
     "VelocityField",
     "rotation_field",
@@ -84,6 +87,16 @@ def _trace(field: VelocityField, x, dt: float, sigma: float, direction: float):
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = pts.reshape(-1, 2)
+    out = np.empty_like(pts)
+    for lo in range(0, pts.shape[0], _TRACE_BLOCK):
+        block = slice(lo, lo + _TRACE_BLOCK)
+        out[block] = _trace_block(field, pts[block], dt, sigma, direction)
+    return out[0] if scalar else out
+
+
+def _trace_block(field: VelocityField, pts: np.ndarray, dt: float,
+                 sigma: float, direction: float) -> np.ndarray:
+    """:func:`_trace` on a batch ``pts`` (m, 2)."""
     ax, ay = field.value(pts[:, 0], pts[:, 1])
     a = np.column_stack(
         [
@@ -99,7 +112,7 @@ def _trace(field: VelocityField, x, dt: float, sigma: float, direction: float):
         )
         curve = np.einsum("mi,mij->mj", a, jac)
         out = out + (0.5 * sigma * dt * dt) * curve
-    return out[0] if scalar else out
+    return out
 
 
 def trace_forward(field: VelocityField, x, dt: float, sigma: float = 1.0):
@@ -150,13 +163,13 @@ class TracedPoints:
         return float(np.mean(self.bwd_projected))
 
 
-def _locate_with_projection(mesh: TriMesh, points: np.ndarray, hints: np.ndarray):
-    tri, bary = locate_point(mesh, points, hints)
+def _locate_with_projection(mesh: TriMesh, points: np.ndarray):
+    tri, bary = locate_point(mesh, points)
     outside = np.flatnonzero(tri < 0)
     projected = np.zeros(points.shape[0], dtype=bool)
     if outside.size:
         pulled = project_to_domain(mesh, points[outside])
-        tri2, bary2 = locate_point(mesh, pulled, hints[outside])
+        tri2, bary2 = locate_point(mesh, pulled)
         if np.any(tri2 < 0):
             raise RuntimeError("projected characteristic endpoint not locatable")
         tri[outside] = tri2
@@ -176,8 +189,7 @@ def build_traced_points(
 
     The walk that locates each image starts from the mesh's bucket-grid
     cell of the image, so its cost does not grow with the length of the
-    characteristic; the node's own triangle is the start only where that
-    cell holds no triangle.
+    characteristic.
     """
     nq = len(rule)
     nt = mesh.nt
@@ -188,8 +200,8 @@ def build_traced_points(
 
     fwd = trace_forward(field, src, dt, sigma)
     bwd = trace_backward(field, src, dt, sigma)
-    fwd_tri, fwd_bary, fwd_proj = _locate_with_projection(mesh, fwd, src_tri)
-    bwd_tri, bwd_bary, bwd_proj = _locate_with_projection(mesh, bwd, src_tri)
+    fwd_tri, fwd_bary, fwd_proj = _locate_with_projection(mesh, fwd)
+    bwd_tri, bwd_bary, bwd_proj = _locate_with_projection(mesh, bwd)
 
     return TracedPoints(
         src_tri=src_tri,

@@ -37,6 +37,7 @@ import scipy.sparse as sp
 
 from .characteristics import VelocityField
 from .fem import FieldP1, assemble_local, basis_gradients, integral, interpolate
+from .linalg import SolutionHistory
 from .mesh import TriMesh, build_rect_mesh
 from .quadrature import QuadratureRule, nine_point_rule
 from .schemes import SchemeConfig, StepDiagnostics, dcgm_prepare, dcgm_step
@@ -249,6 +250,9 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     when the domain truncation starts to bite).
 
     ``on_step(step_index, field)`` is called after every step when given.
+    Every step solves the same matrix, so the run keeps one
+    :class:`~dcgm.linalg.SolutionHistory` and starts each solve from the
+    best combination of its recent solutions.
     """
     if n_steps < 1:
         raise ValueError("need at least one time step")
@@ -262,10 +266,11 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     put_weights = expectation_weights(mesh, put_payoff(params.strike), rule)
 
     u = _initial_density(mesh, params)
+    history = SolutionHistory()
     steps: list[HestonStep] = []
     warned_neg = warned_leak = False
     for k in range(1, n_steps + 1):
-        u, diag = dcgm_step(op, u)
+        u, diag = dcgm_step(op, u, history=history)
         price = put_price(u, put_weights)
         leak = boundary_mass(u, op.mass)
         steps.append(HestonStep(diag=diag, price=price, boundary_mass=leak))

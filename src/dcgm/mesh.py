@@ -30,6 +30,9 @@ __all__ = [
 _BARY_TOL = 1e-12
 # triangle centroids per cell of the bucket grid that starts each walk
 _CENTROIDS_PER_CELL = 2
+# points one pass of locate_point walks at a time; bounds the walk's
+# temporaries, about twenty arrays of this length
+_LOCATE_BLOCK = 8192
 
 
 @dataclass(eq=False)
@@ -124,16 +127,7 @@ class TriMesh:
         self._r10, self._r11 = rows[:, 1, 0].copy(), rows[:, 1, 1].copy()
 
         self.neighbors = self._build_neighbors()
-        # bucket grid over the vertex bounding box, about two centroids per
-        # cell: _cell_tri[c] is the highest-index triangle whose centroid lies
-        # in cell c (-1 if none), where walks for points in c start
-        g = max(1, math.isqrt(self.nt // _CENTROIDS_PER_CELL))
-        lo = self.vertices.min(axis=0)
-        self._grid = (lo, g / (self.vertices.max(axis=0) - lo), g)
-        centroids = tri_xy.mean(axis=1)
-        self._cell_tri = np.full(g * g, -1, dtype=np.int64)
-        np.maximum.at(self._cell_tri, self._cell_of(centroids[:, 0], centroids[:, 1]),
-                      np.arange(self.nt))
+        self._cell_tri = self._build_cell_table(tri_xy.mean(axis=1))
         # triangles around each vertex: _vertex_tris[_vertex_start[v]:
         # _vertex_start[v + 1]], for the location tie-break
         flat = self.triangles.ravel()
@@ -224,6 +218,28 @@ class TriMesh:
 
     # ------------------------------------------------------------------
     # derived-table construction
+
+    def _build_cell_table(self, centroids: np.ndarray) -> np.ndarray:
+        """Start triangle of the walk for each cell of a bucket grid over the
+        vertex bounding box, about two centroids per cell.
+
+        A cell holding centroids stores the highest-index triangle among
+        them.  An empty cell takes the triangle of a nearest stored cell,
+        grown one cell at a time from the stored ones (left, right, below,
+        above), so every walk starts close to its point.
+        """
+        g = max(1, math.isqrt(self.nt // _CENTROIDS_PER_CELL))
+        lo = self.vertices.min(axis=0)
+        self._grid = (lo, g / (self.vertices.max(axis=0) - lo), g)
+        cells = np.full(g * g, -1, dtype=np.int64)
+        np.maximum.at(cells, self._cell_of(centroids[:, 0], centroids[:, 1]),
+                      np.arange(self.nt))
+        cells = cells.reshape(g, g)  # row iy, column ix
+        while (cells < 0).any():
+            old = np.pad(cells, 1, constant_values=-1)
+            for near in (old[1:-1, :-2], old[1:-1, 2:], old[:-2, 1:-1], old[2:, 1:-1]):
+                cells = np.where((cells < 0) & (near >= 0), near, cells)
+        return cells.ravel()
 
     def _build_neighbors(self) -> np.ndarray:
         """neighbors[k, j] = triangle across the edge opposite local vertex j.
@@ -324,27 +340,35 @@ def locate_point(mesh: TriMesh, point, hint=None):
     ``None`` when the point lies outside the mesh.  For a batch (m, 2)
     returns ``(tris, bary)`` with ``tris[i] = -1`` for outside points.
     The walk starts at the triangle stored for the point's cell of the
-    mesh's bucket grid, a triangle or two away; ``hint`` (one for all points
-    or one per point, default triangle 0) is the start only where that cell
-    holds no triangle.  Coordinates are clamped to the closed triangle and
-    sum to one.  The result does not depend on where the walk starts: a
-    point within tolerance of an edge is reported in the lowest-index
-    triangle that contains it.
+    mesh's bucket grid, a triangle or two away.  Coordinates are clamped to
+    the closed triangle and sum to one.  The result does not depend on where
+    the walk starts: a point within tolerance of an edge is reported in the
+    lowest-index triangle that contains it.  ``hint`` is accepted for
+    compatibility and ignored, since every cell of the grid stores a start.
     """
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 2)
+    tri = np.empty(pts.shape[0], dtype=np.int64)
+    bary = np.empty((pts.shape[0], 3))
+    for lo in range(0, pts.shape[0], _LOCATE_BLOCK):
+        block = slice(lo, lo + _LOCATE_BLOCK)
+        tri[block], bary[block] = _locate_block(mesh, pts[block])
+    if single:
+        return (int(tri[0]), bary[0]) if tri[0] >= 0 else None
+    return tri, bary
+
+
+def _locate_block(mesh: TriMesh, pts: np.ndarray):
+    """:func:`locate_point` on a batch ``pts`` (m, 2)."""
     m = pts.shape[0]
     tri = np.full(m, -1, dtype=np.int64)
     lam = np.zeros((3, m))  # rows l0, l1, l2
-    fallback = np.array(np.broadcast_to(0 if hint is None else hint, (m,)), dtype=np.int64)
-    fallback[(fallback < 0) | (fallback >= mesh.nt)] = 0
     x, y = pts[:, 0], pts[:, 1]
     # a non-finite point lies in no triangle and has no grid cell
     active = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
     x, y = x[active], y[active]
     cur = mesh._cell_tri[mesh._cell_of(x, y)]
-    cur = np.where(cur >= 0, cur, fallback[active])
     neighbors = mesh.neighbors.ravel()
     stuck = []
     for _ in range(4 * mesh.nt):
@@ -381,10 +405,7 @@ def locate_point(mesh: TriMesh, point, hint=None):
     lam = np.clip(lam, 0.0, 1.0)
     total = lam.sum(axis=0)
     total[~found] = 1.0
-    bary = np.ascontiguousarray((lam / total).T)
-    if single:
-        return (int(tri[0]), bary[0]) if found[0] else None
-    return tri, bary
+    return tri, (lam / total).T
 
 
 def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
@@ -441,71 +462,46 @@ def build_rect_mesh(nx: int, ny: int, x_max: float, y_max: float) -> TriMesh:
     xx, yy = np.meshgrid(xs, ys)  # row j -> y = ys[j]
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    tris = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00 = j * nx + i
-            v10 = v00 + 1
-            v01 = v00 + nx
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
+    # lower-left vertex of each cell, row by row from the bottom
+    v00 = (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).ravel()
+    v11 = v00 + nx + 1
+    triangles = np.column_stack([v00, v00 + 1, v11, v00, v11, v00 + nx]).reshape(-1, 3)
 
-    edges = []
-    labels = []
-    for i in range(nx - 1):  # bottom, left to right
-        edges.append((i, i + 1))
-        labels.append(1)
-    for j in range(ny - 1):  # right, upward
-        edges.append((j * nx + nx - 1, (j + 1) * nx + nx - 1))
-        labels.append(2)
-    for i in range(nx - 1, 0, -1):  # top, right to left
-        edges.append(((ny - 1) * nx + i, (ny - 1) * nx + i - 1))
-        labels.append(3)
-    for j in range(ny - 1, 0, -1):  # left, downward
-        edges.append((j * nx, (j - 1) * nx))
-        labels.append(4)
-
+    ring = np.concatenate([
+        np.arange(nx - 1),                          # bottom, left to right
+        np.arange(ny - 1) * nx + nx - 1,            # right, upward
+        (ny - 1) * nx + np.arange(nx - 1, 0, -1),   # top, right to left
+        np.arange(ny - 1, 0, -1) * nx,              # left, downward
+    ])
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=np.array(edges, dtype=np.int64),
-        boundary_labels=np.array(labels, dtype=np.int64),
+        boundary_edges=np.column_stack([ring, np.roll(ring, -1)]),
+        boundary_labels=np.repeat([1, 2, 3, 4], [nx - 1, ny - 1, nx - 1, ny - 1]),
         regions=np.zeros(triangles.shape[0], dtype=np.int64),
     )
 
 
-def _band_triangles(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, int]]:
+def _band_triangles(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Counterclockwise triangles tiling the annulus band between two rings.
 
     ``inner`` and ``outer`` list vertex ids in increasing-angle order with the
-    first vertex of each ring at angle 0.  The merge advances whichever ring
-    has the smaller next angle (compared exactly with integer cross products),
-    emitting one triangle per advance: nI + nO in total.
+    first vertex of each ring at angle 0.  Each advance along a ring emits one
+    triangle, nI + nO in total; advance i of the inner ring reaches angle
+    (i+1)/nI turns and advance o of the outer ring (o+1)/nO.  The advances
+    are taken in order of angle, compared exactly through the integer keys
+    (i+1) nO and (o+1) nI, the inner ring first on ties.
     """
     nI, nO = len(inner), len(outer)
-    tris: list[tuple[int, int, int]] = []
     if nI == 1:
-        c = int(inner[0])
-        for o in range(nO):
-            tris.append((c, int(outer[o]), int(outer[(o + 1) % nO])))
-        return tris
-    i = o = 0
-    while i < nI or o < nO:
-        # next angles are (i+1)/nI and (o+1)/nO turns; compare exactly
-        take_inner = o >= nO or (i < nI and (i + 1) * nO <= (o + 1) * nI)
-        if take_inner:
-            tris.append(
-                (int(inner[i % nI]), int(outer[o % nO]), int(inner[(i + 1) % nI]))
-            )
-            i += 1
-        else:
-            tris.append(
-                (int(inner[i % nI]), int(outer[o % nO]), int(outer[(o + 1) % nO]))
-            )
-            o += 1
-    return tris
+        return np.column_stack([np.full(nO, inner[0]), outer, np.roll(outer, -1)])
+    keys = np.concatenate([np.arange(1, nI + 1) * nO, np.arange(1, nO + 1) * nI])
+    on_inner = np.argsort(keys, kind="stable") < nI
+    # advances of each ring made before each event
+    i = np.cumsum(on_inner) - on_inner
+    o = np.cumsum(~on_inner) - ~on_inner
+    third = np.where(on_inner, inner[(i + 1) % nI], outer[(o + 1) % nO])
+    return np.column_stack([inner[i % nI], outer[o % nO], third])
 
 
 def build_disk_mesh(n_boundary: int) -> TriMesh:
@@ -523,30 +519,25 @@ def build_disk_mesh(n_boundary: int) -> TriMesh:
     ring_counts = [max(1, round(n * j / m)) for j in range(1, m + 1)]
     ring_counts[-1] = n
 
-    verts = [(0.0, 0.0)]
-    rings: list[np.ndarray] = [np.array([0], dtype=np.int64)]
+    verts = [np.zeros((1, 2))]
+    rings = [np.array([0], dtype=np.int64)]
+    start = 1
     for j, nj in enumerate(ring_counts, start=1):
         r = j / m
-        start = len(verts)
         ang = 2.0 * math.pi * np.arange(nj) / nj
-        for t in ang:
-            verts.append((r * math.cos(t), r * math.sin(t)))
+        verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
         rings.append(np.arange(start, start + nj, dtype=np.int64))
+        start += nj
 
-    tris: list[tuple[int, int, int]] = []
-    for inner, outer in zip(rings[:-1], rings[1:]):
-        tris.extend(_band_triangles(inner, outer))
-
+    triangles = np.concatenate([_band_triangles(inner, outer)
+                                for inner, outer in zip(rings[:-1], rings[1:])])
     boundary_ring = rings[-1]
-    nbe = len(boundary_ring)
-    edges = np.column_stack([boundary_ring, np.roll(boundary_ring, -1)])
-
     return TriMesh(
-        vertices=np.array(verts),
-        triangles=np.array(tris, dtype=np.int64),
-        boundary_edges=edges,
-        boundary_labels=np.ones(nbe, dtype=np.int64),
-        regions=np.zeros(len(tris), dtype=np.int64),
+        vertices=np.concatenate(verts),
+        triangles=triangles,
+        boundary_edges=np.column_stack([boundary_ring, np.roll(boundary_ring, -1)]),
+        boundary_labels=np.ones(n, dtype=np.int64),
+        regions=np.zeros(triangles.shape[0], dtype=np.int64),
     )
 
 

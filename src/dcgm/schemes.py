@@ -7,9 +7,13 @@ All schemes advance the implicit-diffusion problem
 With a steady velocity field and a fixed dt each scheme is one linear map,
 ``lhs u^n = rhs_mat u^{n-1}``, whose two sparse matrices a ``*_prepare``
 function builds once into a :class:`LinearStep` record or one extending it.
-Every step is then ``step(op, u_prev)`` and returns the new field with its
-:class:`StepDiagnostics`.  The schemes differ in the transport matrix
-``rhs_mat``:
+Every step is then ``step(op, u_prev, history=None)`` and returns the new
+field with its :class:`StepDiagnostics`.  Without ``history`` a step is a
+pure map whose solve starts from u_prev; a run loop that creates one
+:class:`~dcgm.linalg.SolutionHistory` and passes it to each of its steps
+starts every solve from the best combination of the run's recent solutions
+instead, which saves most of the Krylov iterations.  The schemes differ in
+the transport matrix ``rhs_mat``:
 
 * dual characteristic scheme: test functions are pushed forward along the
   flow, rhs_mat = P_fwd^T W P_src.  Row q of P_src holds the barycentric
@@ -41,7 +45,7 @@ from .fem import (
     basis_gradients,
     integral,
 )
-from .linalg import SolveReport, bicgstab_solve, cg_solve
+from .linalg import SolutionHistory, SolveReport, bicgstab_solve, cg_solve
 from .mesh import TriMesh
 from .quadrature import midedge_rule, rule_by_name
 
@@ -206,9 +210,11 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
     )
 
 
-def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str, g=None):
-    """Solve ``op.lhs x = op.rhs_mat @ u_prev`` warm-started from u_prev;
-    returns the new field and its diagnostics.
+def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
+             history: SolutionHistory | None, g=None):
+    """Solve ``op.lhs x = op.rhs_mat @ u_prev`` warm-started from u_prev, or
+    from ``history`` once it holds a solution; returns the new field and its
+    diagnostics.
 
     With imposed values ``g`` (a vertex vector; Dirichlet operators only) the
     unknowns are ``op.interior``: ``op.coupling`` moves g to the right-hand
@@ -221,7 +227,7 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str, g=None):
     if g is not None:
         rhs = rhs - op.coupling @ g[op.boundary]
         x0 = x0[op.interior]
-    x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0)
+    x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0, history=history)
     if not report.converged:
         raise StepError(f"{label} step solve failed", report)
     if g is not None:
@@ -239,18 +245,20 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str, g=None):
     return u_new, diag
 
 
-def dcgm_step(op: DcgmOperator, u_prev: FieldP1):
+def dcgm_step(op: DcgmOperator, u_prev: FieldP1,
+              history: SolutionHistory | None = None):
     """One conservative characteristic step (forward-image scatter)."""
     if not op.dual:
         raise ValueError("dcgm_step needs a dual operator; use pcgm_step")
-    return _advance(op, u_prev, cg_solve, "characteristic")
+    return _advance(op, u_prev, cg_solve, "characteristic", history)
 
 
-def pcgm_step(op: DcgmOperator, u_prev: FieldP1):
+def pcgm_step(op: DcgmOperator, u_prev: FieldP1,
+              history: SolutionHistory | None = None):
     """One primal characteristic step (backward gather; not conservative)."""
     if op.dual:
         raise ValueError("pcgm_step needs an operator prepared with dual=False")
-    return _advance(op, u_prev, cg_solve, "primal characteristic")
+    return _advance(op, u_prev, cg_solve, "primal characteristic", history)
 
 
 # ----------------------------------------------------------------------
@@ -327,14 +335,16 @@ def cfl_dt_guideline(mesh: TriMesh, nu: float) -> float:
     return mesh.h_max**2 / (2.0 * nu)
 
 
-def supg_step(op: LinearStep, u_prev: FieldP1):
+def supg_step(op: LinearStep, u_prev: FieldP1,
+              history: SolutionHistory | None = None):
     """One implicit streamline-upwind step."""
-    return _advance(op, u_prev, bicgstab_solve, "streamline-upwind")
+    return _advance(op, u_prev, bicgstab_solve, "streamline-upwind", history)
 
 
-def centered_step(op: LinearStep, u_prev: FieldP1):
+def centered_step(op: LinearStep, u_prev: FieldP1,
+                  history: SolutionHistory | None = None):
     """One implicit centered-convection step (no stabilization)."""
-    return _advance(op, u_prev, bicgstab_solve, "centered")
+    return _advance(op, u_prev, bicgstab_solve, "centered", history)
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +423,8 @@ def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
     )
 
 
-def dcgm_dirichlet_step(op: DirichletOperator, u_prev: FieldP1, u_boundary):
+def dcgm_dirichlet_step(op: DirichletOperator, u_prev: FieldP1, u_boundary,
+                        history: SolutionHistory | None = None):
     """One characteristic step with the boundary pinned to ``u_boundary``.
 
     ``u_boundary`` may be a scalar, a full vertex vector, or one value per
@@ -431,4 +442,5 @@ def dcgm_dirichlet_step(op: DirichletOperator, u_prev: FieldP1, u_boundary):
     else:
         raise ValueError("boundary data must be scalar, per-vertex, or "
                          "per-boundary-vertex")
-    return _advance(op, u_prev, cg_solve, "constrained characteristic", g)
+    return _advance(op, u_prev, cg_solve, "constrained characteristic",
+                    history, g)

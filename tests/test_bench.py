@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dcgm.bench import (SCHEMES, BellParams, bell_at_time, bell_center,
-                        boundary_crossing_test, compare_schemes,
+from dcgm.bench import (SCHEMES, BellParams, _prepare, bell_at_time,
+                        bell_center, boundary_crossing_test, compare_schemes,
                         convergence_study, cross_section, discontinuous_test,
                         exact_bell, exact_report, fit_order, run_one_turn,
                         run_one_turn_dirichlet, stability_constant)
 from dcgm.fem import integral, interpolate
 from dcgm.mesh import build_disk_mesh
+from dcgm.schemes import SchemeConfig
 
 
 def test_scheme_names():
@@ -138,3 +139,22 @@ def test_stability_constant_bounded():
     c = stability_constant(r)
     assert np.isfinite(c)
     assert c < 10.0
+
+
+
+def test_solution_history_changes_only_rounding():
+    # a turn starts each solve from the run's recent solutions; the same
+    # steps from u_prev alone agree to well within the solver tolerance
+    params = BellParams(n_steps=40)
+    report = run_one_turn(80, "dcgm", params)
+    mesh = report.final.mesh
+    op, step = _prepare("dcgm", mesh, SchemeConfig(nu=params.nu, dt=report.dt))
+    plain = interpolate(mesh, bell_at_time(params, 0.0))
+    iterations = 0
+    for _ in range(params.n_steps):
+        plain, diag = step(op, plain)
+        iterations += diag.solver.iterations
+    scale = np.abs(plain.coeffs).max()
+    assert np.abs(report.final.coeffs - plain.coeffs).max() <= 1e-10 * scale
+    assert report.mass_drift <= 1e-10
+    assert sum(d.solver.iterations for d in report.diagnostics) < iterations

@@ -17,6 +17,7 @@ from dcgm.heston import (HestonParams, TensorField, _initial_density,
                          put_payoff, put_price)
 from dcgm.mesh import build_rect_mesh
 from dcgm.quadrature import nine_point_rule
+from dcgm.schemes import SchemeConfig, dcgm_prepare, dcgm_step
 from scipy.stats import norm
 
 
@@ -149,6 +150,31 @@ def test_mass_and_conservation_short_run():
         u, steps, _ = heston_run(HestonParams(T=1.0), 40, 40, 20)
     masses = np.array([s.diag.mass for s in steps])
     assert np.max(np.abs(masses - 1.0)) <= 1e-8
+
+
+def test_solution_history_changes_only_rounding():
+    # heston_run starts each solve from its recent solutions; the same
+    # steps from u_prev alone agree to well within the solver tolerance
+    params = HestonParams(T=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        u, steps, _ = heston_run(params, 30, 30, 40)
+    mesh = u.mesh
+    config = SchemeConfig(nu=1.0, dt=params.T / 40, solver_tol=1e-12)
+    stiffness = assemble_tensor_stiffness(
+        mesh, heston_operator(params).diffusion, nine_point_rule())
+    op = dcgm_prepare(mesh, heston_operator(params).drift, config,
+                      stiffness=stiffness)
+    plain = _initial_density(mesh, params)
+    iterations = 0
+    for _ in range(40):
+        plain, diag = dcgm_step(op, plain)
+        iterations += diag.solver.iterations
+    scale = np.abs(plain.coeffs).max()
+    assert np.abs(u.coeffs - plain.coeffs).max() <= 1e-10 * scale
+    masses = np.array([s.diag.mass for s in steps])
+    assert np.max(np.abs(masses - 1.0)) <= 1e-8
+    assert sum(s.diag.solver.iterations for s in steps) < iterations
 
 
 def test_price_monotone_in_spot():

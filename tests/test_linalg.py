@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcgm.fem import assemble_mass
-from dcgm.linalg import bicgstab_solve, cg_solve
+from dcgm.linalg import SolutionHistory, bicgstab_solve, cg_solve
 
 # validation, the zero right-hand side, warm start and the true-residual
 # report live in one driver that both solvers share; each check below runs
@@ -86,3 +88,69 @@ def test_bicgstab_nonsymmetric():
     x, report = bicgstab_solve(A, b, tol=1e-12)
     assert report.converged
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def dominant_system(seed: int, n: int, symmetric: bool) -> sp.csr_matrix:
+    """Random sparse matrix with a positive diagonal that dominates each row
+    strictly: SPD when symmetric, nonsingular either way."""
+    rng = np.random.default_rng(seed)
+    off = sp.random(n, n, density=0.3, rng=rng, format="csr",
+                    data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
+    if symmetric:
+        off = off + off.T
+    off.setdiag(0.0)
+    dominance = np.abs(off).sum(axis=1).A1 + rng.uniform(0.01, 2.0, n)
+    return (off + sp.diags(dominance)).tocsr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
+       symmetric=st.booleans(), n_rhs=st.integers(1, 40),
+       drift=st.floats(-15.0, 1.0))
+def test_history_start_never_worse(seed, n, symmetric, n_rhs, drift):
+    # a sequence of right-hand sides that each move by 10**drift: the
+    # projected start is never worse than the previous solution, whatever
+    # the window has been through, and every solve meets the tolerance
+    A = dominant_system(seed, n, symmetric)
+    solve = cg_solve if symmetric else bicgstab_solve
+    rng = np.random.default_rng(seed + 1)
+    history = SolutionHistory()
+    b = rng.standard_normal(n)
+    x = None
+    for _ in range(n_rhs):
+        b = b + 10.0**drift * rng.standard_normal(n)
+        norm_b = np.linalg.norm(b)
+        x_prev = x
+        x, report = solve(A, b, tol=1e-12, x0=x_prev, history=history)
+        assert report.converged
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * norm_b
+        assert report.residual == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
+        if x_prev is not None:
+            from_prev = np.linalg.norm(b - A @ x_prev)
+            assert report.start_residual <= from_prev + 1e-13 * norm_b
+
+
+def test_history_serves_one_matrix(disk60):
+    M = assemble_mass(disk60)
+    b = M @ np.ones(disk60.nv)
+    history = SolutionHistory()
+    cg_solve(M, b, history=history)
+    with pytest.raises(ValueError, match="one matrix"):
+        cg_solve(M.copy(), b, history=history)
+    with pytest.raises(ValueError, match="one matrix"):
+        bicgstab_solve(2.0 * M, b, history=history)
+
+
+def test_history_start_after_a_repeat(disk60):
+    # the same right-hand side twice: the second solve starts converged and
+    # its start residual is the reported one
+    M = assemble_mass(disk60)
+    b = M @ np.random.default_rng(3).standard_normal(disk60.nv)
+    history = SolutionHistory()
+    x1, first = cg_solve(M, b, tol=1e-12, history=history)
+    x2, second = cg_solve(M, b, tol=1e-12, history=history)
+    assert first.start_residual == pytest.approx(np.linalg.norm(b), rel=1e-15)
+    assert first.iterations > 0
+    assert second.iterations == 0
+    assert second.start_residual == second.residual <= 1e-12 * np.linalg.norm(b)
+    np.testing.assert_allclose(x2, x1, rtol=0, atol=1e-11 * np.abs(x1).max())

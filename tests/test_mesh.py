@@ -46,6 +46,80 @@ def test_disk_counts_frozen():
         assert (m.nv, m.nt, m.nbe) == (nv, nt, n)
 
 
+def loop_rect_tables(nx, ny):
+    """Triangles, boundary edges and labels of build_rect_mesh, one cell and
+    one edge at a time."""
+    tris = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            v00 = j * nx + i
+            tris += [(v00, v00 + 1, v00 + nx + 1), (v00, v00 + nx + 1, v00 + nx)]
+    edges, labels = [], []
+    for i in range(nx - 1):
+        edges.append((i, i + 1))
+        labels.append(1)
+    for j in range(ny - 1):
+        edges.append((j * nx + nx - 1, (j + 1) * nx + nx - 1))
+        labels.append(2)
+    for i in range(nx - 1, 0, -1):
+        edges.append(((ny - 1) * nx + i, (ny - 1) * nx + i - 1))
+        labels.append(3)
+    for j in range(ny - 1, 0, -1):
+        edges.append((j * nx, (j - 1) * nx))
+        labels.append(4)
+    return tris, edges, labels
+
+
+def loop_disk_tables(n):
+    """Vertices and triangles of build_disk_mesh, one vertex at a time, with
+    the bands stitched by a merge of the two rings' next angles."""
+    m = max(1, round(n / (2.0 * math.pi)))
+    counts = [max(1, round(n * j / m)) for j in range(1, m)] + [n]
+    verts = [(0.0, 0.0)]
+    rings = [[0]]
+    for j, nj in enumerate(counts, start=1):
+        rings.append(list(range(len(verts), len(verts) + nj)))
+        for t in 2.0 * math.pi * np.arange(nj) / nj:
+            verts.append((j / m * math.cos(t), j / m * math.sin(t)))
+    tris = []
+    for inner, outer in zip(rings[:-1], rings[1:]):
+        nI, nO = len(inner), len(outer)
+        if nI == 1:
+            tris += [(inner[0], outer[o], outer[(o + 1) % nO]) for o in range(nO)]
+            continue
+        i = o = 0
+        while i < nI or o < nO:
+            if o >= nO or (i < nI and (i + 1) * nO <= (o + 1) * nI):
+                tris.append((inner[i % nI], outer[o % nO], inner[(i + 1) % nI]))
+                i += 1
+            else:
+                tris.append((inner[i % nI], outer[o % nO], outer[(o + 1) % nO]))
+                o += 1
+    return verts, tris
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (2, 5), (7, 3), (60, 60)])
+def test_rect_builder_matches_loops(nx, ny):
+    m = build_rect_mesh(nx, ny, 3.0, 2.0)
+    tris, edges, labels = loop_rect_tables(nx, ny)
+    assert m.triangles.tolist() == [list(t) for t in tris]
+    assert m.boundary_edges.tolist() == [list(e) for e in edges]
+    assert m.boundary_labels.tolist() == labels
+
+
+@pytest.mark.parametrize("n", [8, 13, 60, 200, 400])
+def test_disk_builder_matches_loops(n):
+    m = build_disk_mesh(n)
+    verts, tris = loop_disk_tables(n)
+    assert m.triangles.tolist() == [list(t) for t in tris]
+    # one ring at a time through numpy's cos and sin, one vertex at a time
+    # through the math module's: equal to within the last bit
+    np.testing.assert_allclose(m.vertices, np.array(verts), rtol=0, atol=4e-16)
+    ring = m.boundary_edges[:, 0]
+    assert ring.tolist() == list(range(m.nv - n, m.nv))
+    assert np.array_equal(m.boundary_edges[:, 1], np.roll(ring, -1))
+
+
 def test_disk_geometry(disk100):
     # area deficit of the inscribed polygonal disk is O(h^2)
     assert disk100.total_area == pytest.approx(math.pi, abs=5e-3)
@@ -359,17 +433,27 @@ def test_neighbor_and_grid_tables(mesh):
     lo, scale, g = mesh._grid
     cells = mesh._cell_tri
     assert cells.shape == (g * g,)
-    assert np.all((cells == -1) | ((cells >= 0) & (cells < mesh.nt)))
+    # no cell is empty
+    assert np.all((cells >= 0) & (cells < mesh.nt))
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    # each stored triangle's centroid lies in the cell that stores it
-    stored = np.flatnonzero(cells >= 0)
+    ix, iy = np.minimum(np.floor((centroids - lo) * scale), g - 1).astype(int).T
+    home = iy * g + ix
+    want = np.full(g * g, -1)
+    for k, cell in enumerate(home):
+        want[cell] = k
+    stored = np.flatnonzero(want >= 0)
+    # a cell holding centroids stores the highest-index triangle among them
+    assert np.array_equal(cells[stored], want[stored])
+    # whose centroid lies in that cell
     width = 1.0 / scale
     low = lo + np.column_stack([stored % g, stored // g]) * width
     c = centroids[cells[stored]]
     assert np.all((c >= low - 1e-9 * width) & (c <= low + (1.0 + 1e-9) * width))
-    # and is the highest-index triangle whose centroid lies there
-    ix, iy = np.minimum(np.floor((centroids - lo) * scale), g - 1).astype(int).T
-    want = np.full(g * g, -1)
-    for k, cell in enumerate(iy * g + ix):
-        want[cell] = k
-    assert np.array_equal(cells, want)
+    # an empty cell takes the triangle of a stored cell nearest to it, counting
+    # steps between neighbouring cells
+    empty = np.flatnonzero(want < 0)
+    steps = (np.abs(empty[:, None] % g - stored % g)
+             + np.abs(empty[:, None] // g - stored // g))
+    source = home[cells[empty]]
+    taken = np.abs(empty % g - source % g) + np.abs(empty // g - source // g)
+    assert np.array_equal(taken, steps.min(axis=1))
