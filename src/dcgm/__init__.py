@@ -40,8 +40,6 @@ from .fem import (
     interpolate,
     l2_error,
     l2_norm,
-    max_coeff,
-    min_coeff,
     nu_dt_norm,
     stability_form,
     write_field_csv,

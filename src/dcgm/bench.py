@@ -69,11 +69,13 @@ __all__ = [
 ]
 
 SCHEMES = ("dcgm", "pcgm", "supg", "centered")
+# final time of every bell run: one full turn of the rotation
+T = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class BellParams:
-    """Rotating-bell experiment parameters.
+    """Rotating-bell experiment parameters; every run lasts one turn, ``T``.
 
     ``n_steps=None`` derives the step count from the mesh size as N // 3,
     which pairs the meshes 100/200/400 with 33/66/133 steps.
@@ -82,7 +84,6 @@ class BellParams:
     x0: tuple[float, float] = (0.35, 0.0)
     r: float = 20.0
     nu: float = 1e-3
-    T: float = 2.0 * math.pi
     n_steps: int | None = None
 
     def __post_init__(self):
@@ -90,8 +91,6 @@ class BellParams:
             raise ValueError("r must be > 0")
         if not self.nu > 0.0:
             raise ValueError("nu must be > 0")
-        if not self.T > 0.0:
-            raise ValueError("T must be > 0")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -166,11 +165,15 @@ def _n_steps(params: BellParams, N: int) -> int:
 
 def _resolve_config(params: BellParams, n_steps: int,
                     config: SchemeConfig | None) -> SchemeConfig:
-    dt = params.T / n_steps
+    """``config`` with dt = T / n_steps, whatever its own dt; its nu must be
+    ``params.nu``."""
+    dt = T / n_steps
     if config is None:
         return SchemeConfig(nu=params.nu, dt=dt)
-    # the experiment owns nu and dt; the template supplies the other knobs
-    return replace(config, nu=params.nu, dt=dt)
+    if config.nu != params.nu:
+        raise ValueError(f"the scheme config has nu = {config.nu!r} but the "
+                         f"bell parameters have nu = {params.nu!r}")
+    return replace(config, dt=dt)
 
 
 def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
@@ -264,14 +267,14 @@ def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
     """One full rotation of the bell on the disk mesh with ``N`` boundary
     vertices.
 
-    ``params`` fixes the physics (center, sharpness, nu, T, step count);
-    ``config`` contributes the remaining scheme knobs (tracer order,
-    quadrature, solver tolerance).  nu and dt inside ``config`` are replaced
-    by the values the experiment dictates.
+    ``params`` fixes the physics (center, sharpness, nu, step count);
+    ``config`` contributes the tracer order, quadrature and solver
+    tolerance.  Its nu must equal ``params.nu`` (ValueError otherwise), and
+    dt always comes from T / n_steps, whatever ``config.dt`` says.
     """
     params = params or BellParams()
     return _turn(N, scheme.lower(), params, config, bell_at_time(params, 0.0),
-                 bell_at_time(params, params.T))
+                 bell_at_time(params, T))
 
 
 def exact_report(N: int, params: BellParams | None = None) -> RunReport:
@@ -281,7 +284,7 @@ def exact_report(N: int, params: BellParams | None = None) -> RunReport:
     n_steps = _n_steps(params, N)
     config = _resolve_config(params, n_steps, None)
     mesh = build_disk_mesh(N)
-    exact = bell_at_time(params, params.T)
+    exact = bell_at_time(params, T)
     u = interpolate(mesh, exact)
     form = stability_form(mesh, config.nu, config.dt)
     run = (u, np.array([integral(u)]), np.array([nu_dt_norm(u, form)]), [])
@@ -324,7 +327,8 @@ def compare_schemes(N: int = 200, params: BellParams | None = None,
 
 def discontinuous_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:
     """One conservative characteristic turn from the indicator of the disk
-    (x - 0.3)^2 + y^2 < 0.15, with nu = 1e-3 unless ``config`` sets it.
+    (x - 0.3)^2 + y^2 < 0.15, with nu = 1e-3 unless ``config`` sets it; dt
+    is T / n_steps, as in :func:`run_one_turn`.
 
     There is no closed form with diffusion, so the error column measures the
     distance to the initial interpolant after the full turn (transport alone
@@ -344,26 +348,29 @@ def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
 
     Boundary vertices are pinned to the closed-form solution at each step's
     final time, and the system matrix carries the boundary-flux correction.
+    ``params`` and ``config`` are as in :func:`run_one_turn`.
     """
     params = params or BellParams()
     return _turn(N, "dcgm-dirichlet", params, config, bell_at_time(params, 0.0),
-                 bell_at_time(params, params.T),
+                 bell_at_time(params, T),
                  boundary=lambda x, t: exact_bell(params, x, t))
 
 
 def boundary_crossing_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:
     """Bell started at (0.5, 0): its support reaches the boundary during the
-    turn, exercising the projection of traced points."""
-    return run_one_turn(N, "dcgm", BellParams(x0=(0.5, 0.0)), config)
+    turn, exercising the projection of traced points.  nu is 1e-3 unless
+    ``config`` sets it; dt is T / n_steps, as in :func:`run_one_turn`."""
+    nu = 1e-3 if config is None else config.nu
+    return run_one_turn(N, "dcgm", BellParams(x0=(0.5, 0.0), nu=nu), config)
 
 
-def cross_section(field: FieldP1, n_samples: int = 201):
-    """Samples (x, u(x, 0)) along the horizontal axis, mesh-bounds to
+def cross_section(field: FieldP1):
+    """201 samples (x, u(x, 0)) along the horizontal axis, mesh-bounds to
     mesh-bounds; points outside the mesh are skipped."""
     xs = np.linspace(
         float(field.mesh.vertices[:, 0].min()),
         float(field.mesh.vertices[:, 0].max()),
-        n_samples,
+        201,
     )
     tri, lam = locate_point(field.mesh, np.column_stack([xs, np.zeros_like(xs)]))
     keep = tri >= 0

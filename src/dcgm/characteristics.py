@@ -49,7 +49,6 @@ class VelocityField:
 
     value: Callable
     jacobian: Callable | None = None
-    name: str = ""
 
 
 def rotation_field() -> VelocityField:
@@ -66,7 +65,7 @@ def rotation_field() -> VelocityField:
         j[..., 1, 0] = -1.0
         return j
 
-    return VelocityField(value=value, jacobian=jacobian, name="rotation")
+    return VelocityField(value=value, jacobian=jacobian)
 
 
 def uniform_field(ax: float, ay: float) -> VelocityField:
@@ -80,7 +79,7 @@ def uniform_field(ax: float, ay: float) -> VelocityField:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (2, 2))
 
-    return VelocityField(value=value, jacobian=jacobian, name="uniform")
+    return VelocityField(value=value, jacobian=jacobian)
 
 
 def _trace(field: VelocityField, x, dt: float, sigma: float, direction: float):

@@ -101,8 +101,8 @@ def _bell_params(args: argparse.Namespace) -> BellParams:
 
 
 def _scheme_config(args: argparse.Namespace) -> SchemeConfig:
-    # dt is a placeholder the bench resolves per run; bell runs take nu
-    # from BellParams as well
+    # dt is a placeholder: every bell run steps with dt = T / n_steps.  nu
+    # is the same --nu that BellParams gets, as the bench requires
     return SchemeConfig(
         nu=args.nu,
         dt=1.0,

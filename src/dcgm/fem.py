@@ -27,8 +27,6 @@ __all__ = [
     "basis_gradients",
     "triangle_gradients",
     "integral",
-    "min_coeff",
-    "max_coeff",
     "l2_norm",
     "h1_seminorm",
     "nu_dt_norm",
@@ -56,8 +54,9 @@ class FieldP1:
 def interpolate(mesh: TriMesh, f) -> FieldP1:
     """Vertex interpolant of ``f(x, y)``.
 
-    ``f`` may be vectorized over numpy arrays; scalar-only callables are
-    evaluated pointwise.
+    ``f`` may be vectorized over numpy arrays; a callable that rejects them
+    with TypeError or ValueError is evaluated pointwise, and any other error
+    propagates.
     """
     return FieldP1(mesh, _call_on_points(f, mesh.vertices[:, 0],
                                          mesh.vertices[:, 1]))
@@ -145,14 +144,6 @@ def integral(field: FieldP1) -> float:
     return float(field.mesh.vertex_mass @ field.coeffs)
 
 
-def min_coeff(field: FieldP1) -> float:
-    return float(field.coeffs.min())
-
-
-def max_coeff(field: FieldP1) -> float:
-    return float(field.coeffs.max())
-
-
 def l2_norm(field: FieldP1) -> float:
     """Exact L2 norm; per triangle the square is |T|/12 (sum c_i^2 + (sum c_i)^2)."""
     c = field.coeffs[field.mesh.triangles]
@@ -178,7 +169,7 @@ def _call_on_points(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(x, y), dtype=float)
         if vals.shape == x.shape:
             return vals
-    except Exception:
+    except (TypeError, ValueError):  # scalar-only callables reject arrays
         pass
     flat = np.array(
         [float(f(float(a), float(b))) for a, b in zip(x.ravel(), y.ravel())]

@@ -143,7 +143,7 @@ def heston_operator(params: HestonParams) -> TensorField:
         jac[..., 1, 1] = -kappa - 0.5 * c  # d b2 / dy
         return jac
 
-    drift = VelocityField(value=drift_value, jacobian=drift_jacobian, name="heston")
+    drift = VelocityField(value=drift_value, jacobian=drift_jacobian)
     return TensorField(diffusion=diffusion, drift=drift)
 
 
@@ -193,11 +193,21 @@ def put_price(field: FieldP1, weights: np.ndarray) -> float:
     return float(weights @ field.coeffs)
 
 
-def boundary_mass(field: FieldP1, mass_matrix: sp.csr_matrix) -> float:
-    """Mass attached to boundary vertices: how much density has reached the
-    truncation edges of the computational domain."""
-    mu = mass_matrix @ field.coeffs
-    return float(mu[field.mesh.boundary_vertices].sum())
+def _boundary_weights(mesh: TriMesh) -> np.ndarray:
+    """M 1_B, the consistent mass matrix applied to the indicator of the
+    boundary vertices.  A triangle with b boundary corners adds
+    |T|/12 (b + [j on the boundary]) at its corner j."""
+    corners = mesh.is_boundary_vertex[mesh.triangles]  # (nt, 3)
+    local = (corners.sum(axis=1)[:, None] + corners) * (mesh.areas[:, None] / 12.0)
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.nv)
+
+
+def boundary_mass(field: FieldP1, weights: np.ndarray) -> float:
+    """Mass attached to boundary vertices, sum over i on the boundary of
+    (M u)_i: how much density has reached the truncation edges of the
+    computational domain.  ``weights`` = M 1_B is built once per mesh."""
+    return float(weights @ field.coeffs)
 
 
 @dataclass(eq=False)
@@ -264,6 +274,7 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     stiffness = assemble_tensor_stiffness(mesh, tensor.diffusion, rule)
     op = dcgm_prepare(mesh, tensor.drift, config, stiffness=stiffness)
     put_weights = expectation_weights(mesh, put_payoff(params.strike), rule)
+    leak_weights = _boundary_weights(mesh)
 
     u = _initial_density(mesh, params)
     history = SolutionHistory()
@@ -272,7 +283,7 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     for k in range(1, n_steps + 1):
         u, diag = dcgm_step(op, u, history=history)
         price = put_price(u, put_weights)
-        leak = boundary_mass(u, op.mass)
+        leak = boundary_mass(u, leak_weights)
         steps.append(HestonStep(diag=diag, price=price, boundary_mass=leak))
         if not warned_neg and diag.min_value < -1e-6:
             warnings.warn(

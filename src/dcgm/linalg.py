@@ -117,17 +117,18 @@ class SolutionHistory:
         self.count = keep
 
 
-def _solve(A: sp.csr_matrix, b, tol: float, max_iter: int | None, x0, sweep,
+def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
            history: SolutionHistory | None):
     """Run ``sweep`` from the true residual, at most three passes.
 
     ``converged`` means ||b - A x|| <= tol ||b|| for the returned x.  Each
     pass starts from the true residual, so a recurrence that drifted from it
-    is restarted; a pass that stalls (``broke``) or exhausts ``max_iter``
-    ends the solve.  ``sweep(A, x, r, diag, target, budget)`` updates x in
-    place and returns ``(iterations, broke)``.  A non-empty ``history``
-    replaces ``x0`` by its projected start, and a converged x joins it with
-    the image A x that the final residual already needed.
+    is restarted; a pass that stalls (``broke``) or exhausts the budget of
+    10 n iterations in all ends the solve.  ``sweep(A, x, r, diag, target,
+    budget)`` updates x in place and returns ``(iterations, broke)``.  A
+    non-empty ``history`` replaces ``x0`` by its projected start, and a
+    converged x joins it with the image A x that the final residual already
+    needed.
     """
     n = A.shape[0]
     if A.shape != (n, n):
@@ -135,8 +136,7 @@ def _solve(A: sp.csr_matrix, b, tol: float, max_iter: int | None, x0, sweep,
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side has wrong length")
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros(n), SolveReport(True, 0, 0.0, 0.0)
@@ -229,7 +229,7 @@ def _bicgstab_sweep(A, x, r, diag, target, budget):
 
 
 def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
-             max_iter: int | None = None, x0: np.ndarray | None = None,
+             x0: np.ndarray | None = None,
              history: SolutionHistory | None = None):
     """Conjugate gradients for symmetric positive definite systems; returns
     ``(x, SolveReport)``.
@@ -239,13 +239,13 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
     ``history``, when given and not empty, supplies the start in place of
     ``x0``, and a converged solution is added to it.
     """
-    return _solve(A, b, tol, max_iter, x0, _cg_sweep, history)
+    return _solve(A, b, tol, x0, _cg_sweep, history)
 
 
 def bicgstab_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
-                   max_iter: int | None = None, x0: np.ndarray | None = None,
+                   x0: np.ndarray | None = None,
                    history: SolutionHistory | None = None):
     """Stabilized biconjugate gradients for general square systems; same
     conventions as :func:`cg_solve`.  Breakdown of the recurrences yields
     the iterate reached so far."""
-    return _solve(A, b, tol, max_iter, x0, _bicgstab_sweep, history)
+    return _solve(A, b, tol, x0, _bicgstab_sweep, history)

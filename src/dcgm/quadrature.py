@@ -29,8 +29,6 @@ class QuadratureRule:
 
     Attributes
     ----------
-    name : str
-        Identifier used in configuration ("midedge", "ninepoint").
     points : ndarray, shape (n, 3)
         Barycentric coordinates of the nodes.
     weights : ndarray, shape (n,)
@@ -40,7 +38,6 @@ class QuadratureRule:
         Highest total polynomial degree integrated exactly.
     """
 
-    name: str
     points: np.ndarray
     weights: np.ndarray
     degree: int
@@ -72,12 +69,8 @@ def midedge_rule() -> QuadratureRule:
 
     Exact for every polynomial of total degree <= 2.
     """
-    return QuadratureRule(
-        name="midedge",
-        points=np.array(_orbit3(0.5)),
-        weights=np.full(3, 1.0 / 3.0),
-        degree=2,
-    )
+    return QuadratureRule(points=np.array(_orbit3(0.5)),
+                          weights=np.full(3, 1.0 / 3.0), degree=2)
 
 
 # Nine-point rule: three 3-fold symmetric orbits (a, a, 1-2a).  Exactness for
@@ -115,7 +108,7 @@ def nine_point_rule() -> QuadratureRule:
     # the solved weights sum to 1 only to solver precision; renormalize the
     # last digit so downstream mass identities are exact in floating point
     weights = weights / weights.sum()
-    return QuadratureRule(name="ninepoint", points=points, weights=weights, degree=5)
+    return QuadratureRule(points=points, weights=weights, degree=5)
 
 
 _RULES = {"midedge": midedge_rule, "ninepoint": nine_point_rule}

@@ -159,7 +159,6 @@ class DcgmOperator(LinearStep):
     otherwise.  ``traced`` keeps the located images both were built from.
     """
 
-    mass: sp.csr_matrix
     traced: TracedPoints
     dual: bool
 
@@ -185,7 +184,6 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
     """
     rule = rule_by_name(config.quadrature)
     tp = build_traced_points(mesh, field, rule, config.dt, config.sigma)
-    mass = assemble_mass(mesh)
     if stiffness is None:
         stiffness = assemble_stiffness(mesh)
     src = _interpolation_matrix(mesh, tp.src_tri, tp.src_bary)
@@ -200,11 +198,10 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
         fraction = tp.bwd_projected_fraction
     return DcgmOperator(
         mesh=mesh,
-        lhs=mass + (config.nu * config.dt) * stiffness,
+        lhs=assemble_mass(mesh) + (config.nu * config.dt) * stiffness,
         rhs_mat=rhs_mat.tocsr(),
         solver_tol=config.solver_tol,
         projected_fraction=fraction,
-        mass=mass,
         traced=tp,
         dual=dual,
     )
@@ -425,22 +422,14 @@ def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
 
 def dcgm_dirichlet_step(op: DirichletOperator, u_prev: FieldP1, u_boundary,
                         history: SolutionHistory | None = None):
-    """One characteristic step with the boundary pinned to ``u_boundary``.
-
-    ``u_boundary`` may be a scalar, a full vertex vector, or one value per
-    entry of ``op.boundary``.
+    """One characteristic step with the boundary pinned to ``u_boundary``:
+    a scalar, or one value per entry of ``op.boundary``.
     """
-    bnd = op.boundary
-    g = np.zeros(op.mesh.nv)
     ub = np.asarray(u_boundary, dtype=float)
-    if ub.ndim == 0:
-        g[bnd] = float(ub)
-    elif ub.shape == (op.mesh.nv,):
-        g[bnd] = ub[bnd]
-    elif ub.shape == bnd.shape:
-        g[bnd] = ub
-    else:
-        raise ValueError("boundary data must be scalar, per-vertex, or "
-                         "per-boundary-vertex")
+    if ub.ndim != 0 and ub.shape != op.boundary.shape:
+        raise ValueError("boundary data must be a scalar or one value per "
+                         "boundary vertex")
+    g = np.zeros(op.mesh.nv)
+    g[op.boundary] = ub
     return _advance(op, u_prev, cg_solve, "constrained characteristic",
                     history, g)

@@ -23,8 +23,6 @@ def test_params_validation():
         BellParams(r=-1.0)
     with pytest.raises(ValueError):
         BellParams(nu=0.0)
-    with pytest.raises(ValueError):
-        BellParams(T=-1.0)
     # 0 is a step count, not "unset": it must not fall back to N // 3
     for bad in (0, -3):
         with pytest.raises(ValueError, match="n_steps"):
@@ -115,6 +113,25 @@ def test_discontinuous_bounds():
     assert r.initial_mass == pytest.approx(math.pi * 0.15, rel=0.05)
 
 
+def test_config_nu_must_match_the_bell():
+    # a run has one nu: a config that disagrees with the bell parameters
+    # is refused before any work, naming both values
+    config = SchemeConfig(nu=1e-2, dt=1.0)
+    with pytest.raises(ValueError, match=r"0\.01.*0\.001"):
+        run_one_turn(40, "dcgm", BellParams(), config)
+    with pytest.raises(ValueError, match="nu"):
+        run_one_turn_dirichlet(40, BellParams(), config)
+
+
+def test_config_nu_sets_the_fixed_start_runs():
+    config = SchemeConfig(nu=1e-2, dt=1.0)
+    crossing = boundary_crossing_test(40, config)
+    assert crossing.nu == 1e-2
+    # dt always comes from one turn over the step count, 40 // 3 = 13 here
+    assert crossing.dt == 2.0 * math.pi / 13
+    assert discontinuous_test(40, config).nu == 1e-2
+
+
 def test_boundary_crossing_bounds():
     base = run_one_turn(100, "dcgm", BellParams())
     r = boundary_crossing_test(100)
@@ -124,8 +141,8 @@ def test_boundary_crossing_bounds():
 
 def test_cross_section():
     run = run_one_turn(60, "dcgm", BellParams())
-    cut = cross_section(run.final, n_samples=101)
-    assert len(cut) > 90
+    cut = cross_section(run.final)
+    assert len(cut) > 180
     xs = np.array([p[0] for p in cut])
     us = np.array([p[1] for p in cut])
     assert np.all(np.diff(xs) > 0)

@@ -74,7 +74,7 @@ def test_full_turn_drift_second_order():
 
 def test_velocity_field_without_jacobian():
     f = VelocityField(value=lambda x, y: (np.ones_like(x), np.zeros_like(y)),
-                      jacobian=None, name="shift")
+                      jacobian=None)
     p = trace_forward(f, np.array([0.0, 0.0]), 0.25, 1.0)
     # no jacobian: the quadratic correction drops out
     assert np.allclose(p, [0.25, 0.0], atol=1e-15)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from dcgm.fem import assemble_mass, assemble_stiffness, interpolate
-from dcgm.heston import (HestonParams, TensorField, _initial_density,
-                         assemble_tensor_stiffness, boundary_mass, expectation,
+from dcgm.heston import (HestonParams, TensorField, _boundary_weights,
+                         _initial_density, assemble_tensor_stiffness,
+                         boundary_mass, expectation,
                          expectation_weights, heston_operator, heston_run,
                          put_payoff, put_price)
-from dcgm.mesh import build_rect_mesh
+from dcgm.mesh import build_disk_mesh, build_rect_mesh
 from dcgm.quadrature import nine_point_rule
 from dcgm.schemes import SchemeConfig, dcgm_prepare, dcgm_step
 from scipy.stats import norm
@@ -208,11 +209,23 @@ def test_put_price_functional(unit_square):
 
 def test_boundary_mass_diagnostic():
     mesh = build_rect_mesh(15, 15, 1.0, 1.0)
-    M = assemble_mass(mesh)
+    weights = _boundary_weights(mesh)
     interior = interpolate(mesh, lambda x, y: np.exp(
         -40.0 * ((np.asarray(x) - 0.5) ** 2 + (np.asarray(y) - 0.5) ** 2)))
     rim = interpolate(mesh, lambda x, y: np.ones_like(np.asarray(x)))
-    assert boundary_mass(interior, M) < 0.01 * boundary_mass(rim, M)
+    assert boundary_mass(interior, weights) < 0.01 * boundary_mass(rim, weights)
+
+
+@pytest.mark.parametrize("build", [lambda: build_rect_mesh(7, 5, 2.0, 1.0),
+                                   lambda: build_disk_mesh(30)],
+                         ids=["rect", "disk"])
+def test_boundary_weights_are_mass_times_indicator(build):
+    mesh = build()
+    on_boundary = np.zeros(mesh.nv)
+    on_boundary[mesh.boundary_vertices] = 1.0
+    np.testing.assert_allclose(_boundary_weights(mesh),
+                               assemble_mass(mesh) @ on_boundary,
+                               rtol=1e-14, atol=0.0)
 
 
 def test_boundary_mass_formula():
@@ -224,8 +237,9 @@ def test_boundary_mass_formula():
     u = _initial_density(mesh, params)
     on_boundary = np.zeros(mesh.nv)
     on_boundary[mesh.boundary_vertices] = 1.0
-    got = boundary_mass(u, M)
-    assert got == pytest.approx((M @ on_boundary) @ u.coeffs, rel=1e-14)
+    got = boundary_mass(u, _boundary_weights(mesh))
+    assert got == pytest.approx((M @ u.coeffs)[mesh.boundary_vertices].sum(),
+                                rel=1e-13)
     assert got == pytest.approx(6.00e-7, rel=1e-3)
     lumped = ((M @ np.ones(mesh.nv)) * on_boundary) @ u.coeffs  # 2.52e-7
     assert lumped < 0.5 * got

@@ -120,7 +120,7 @@ def test_integrate_on_triangle_linear():
 def test_invalid_rule_construction():
     pts = np.array([[0.5, 0.5, 0.0]])
     with pytest.raises(ValueError):
-        QuadratureRule(name="bad", points=pts, weights=np.array([-1.0]), degree=1)
+        QuadratureRule(points=pts, weights=np.array([-1.0]), degree=1)
     with pytest.raises(ValueError):
-        QuadratureRule(name="bad", points=np.zeros((2, 2)),
-                       weights=np.array([0.5, 0.5]), degree=1)
+        QuadratureRule(points=np.zeros((2, 2)), weights=np.array([0.5, 0.5]),
+                       degree=1)

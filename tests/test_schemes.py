@@ -132,6 +132,11 @@ def test_dirichlet_constant_boundary(disk100):
     for _ in range(3):
         u, _ = dcgm_dirichlet_step(op, u, 1.0)
     assert np.max(np.abs(u.coeffs - 1.0)) == 0.0
+    # one value per boundary vertex is the same data; a vertex vector is not
+    v, _ = dcgm_dirichlet_step(op, u, np.ones(op.boundary.shape))
+    assert np.array_equal(v.coeffs, u.coeffs)
+    with pytest.raises(ValueError, match="boundary vertex"):
+        dcgm_dirichlet_step(op, u, np.ones(disk100.nv))
 
 
 def test_dirichlet_absorbing_boundary(disk100):
@@ -193,9 +198,14 @@ def test_characteristic_steps_check_the_direction(disk100):
         pcgm_step(dcgm_prepare(disk100, rotation_field(), CFG), u)
 
 
+# uniform transports on a small rectangle, many of whose images leave it
+transports = given(ax=st.floats(-2.0, 2.0), ay=st.floats(-2.0, 2.0),
+                   dt=st.floats(0.01, 0.3),
+                   quadrature=st.sampled_from(["midedge", "ninepoint"]))
+
+
 @settings(max_examples=50, deadline=None)
-@given(ax=st.floats(-2.0, 2.0), ay=st.floats(-2.0, 2.0),
-       dt=st.floats(0.01, 0.3), quadrature=st.sampled_from(["midedge", "ninepoint"]))
+@transports
 def test_transport_mass_identity(ax, ay, dt, quadrature):
     # 1^T rhs_mat = 1^T M: the dual transport moves mass, never makes it,
     # even for images that left the rectangle and were projected back
@@ -205,3 +215,18 @@ def test_transport_mass_identity(ax, ay, dt, quadrature):
     column_sums = np.asarray(op.rhs_mat.sum(axis=0)).ravel()
     lumped = assemble_mass(mesh) @ np.ones(mesh.nv)
     np.testing.assert_allclose(column_sums, lumped, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@transports
+def test_transport_is_nonnegative(ax, ay, dt, quadrature):
+    # every transport entry is a sum of positive node weights times clamped
+    # barycentrics, so a nonnegative density stays nonnegative on the right
+    # side of every characteristic step
+    mesh = build_rect_mesh(6, 5, 1.0, 0.8)
+    config = SchemeConfig(nu=1e-3, dt=dt, quadrature=quadrature)
+    field = uniform_field(ax, ay)
+    for op in (dcgm_prepare(mesh, field, config),
+               dcgm_prepare(mesh, field, config, dual=False),
+               dcgm_dirichlet_prepare(mesh, field, config)):
+        assert op.rhs_mat.data.min() >= 0.0
