@@ -29,7 +29,7 @@ not from the drift), at the price of an O(dt div b_eff) consistency term.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from .characteristics import VelocityField
 from .fem import FieldP1, assemble_local, basis_gradients, integral, interpolate
-from .linalg import SolutionHistory
+from .linalg import SolutionHistory, _level_blocks
 from .mesh import TriMesh, build_rect_mesh
 from .quadrature import QuadratureRule, nine_point_rule
 from .schemes import SchemeConfig, StepDiagnostics, dcgm_prepare, dcgm_step
@@ -82,6 +82,9 @@ class HestonParams:
     offdiag_rho: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("kappa", "theta", "lam", "sigma", "sigma_v"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -153,14 +156,15 @@ def assemble_tensor_stiffness(mesh: TriMesh, diffusion,
 
     Symmetric, and PSD whenever D is PSD at every quadrature node; with
     D = identity it reproduces the constant-coefficient stiffness matrix.
+    The gradients are constant on a triangle, so the rule sums D first.
     """
     rule = rule or nine_point_rule()
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy)  # (nt, nq, 2)
+    pts = rule.points @ mesh._tri_xy  # (nt, nq, 2)
     d = np.asarray(diffusion(pts[:, :, 0], pts[:, :, 1]), dtype=float)
     d = np.broadcast_to(d, (mesh.nt, len(rule), 2, 2))
+    d = np.einsum("q,tqef->tef", rule.weights, d)
     g = basis_gradients(mesh)  # (nt, 3, 2)
-    local = np.einsum("q,tae,tqef,tbf->tab", rule.weights, g, d, g)
-    local = local * mesh.areas[:, None, None]
+    local = np.einsum("tae,tef,tbf->tab", g, d, g) * mesh.areas[:, None, None]
     return assemble_local(mesh, local)
 
 
@@ -169,7 +173,7 @@ def expectation_weights(mesh: TriMesh, f,
     """Vertex vector p with p @ u the quadrature of f(x, y) times the field u:
     p_i = sum_T |T| sum_q w_q lambda_i(x_q) f(x_q)."""
     rule = rule or nine_point_rule()
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy)  # (nt, nq, 2)
+    pts = rule.points @ mesh._tri_xy  # (nt, nq, 2)
     vals = np.asarray(f(pts[:, :, 0], pts[:, :, 1]), dtype=float)
     local = (vals * rule.weights) @ rule.points  # (nt, 3)
     local *= mesh.areas[:, None]
@@ -260,9 +264,12 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     when the domain truncation starts to bite).
 
     ``on_step(step_index, field)`` is called after every step when given.
-    Every step solves the same matrix, so the run keeps one
-    :class:`~dcgm.linalg.SolutionHistory` and starts each solve from the
-    best combination of its recent solutions.
+    Every step solves the same matrix, so the run factors it once in
+    breadth-first levels (:func:`~dcgm.linalg._level_blocks`) and each CG
+    solve, preconditioned with the exact factor, takes one iteration.  A
+    grid too large for the factor keeps Jacobi CG started from one
+    :class:`~dcgm.linalg.SolutionHistory`: the best combination of the
+    run's recent solutions.
     """
     if n_steps < 1:
         raise ValueError("need at least one time step")
@@ -273,11 +280,14 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=1e-12)
     stiffness = assemble_tensor_stiffness(mesh, tensor.diffusion, rule)
     op = dcgm_prepare(mesh, tensor.drift, config, stiffness=stiffness)
+    blocks = _level_blocks(op.lhs)
+    if blocks is not None:
+        op.precond = blocks.solve
     put_weights = expectation_weights(mesh, put_payoff(params.strike), rule)
     leak_weights = _boundary_weights(mesh)
 
     u = _initial_density(mesh, params)
-    history = SolutionHistory()
+    history = SolutionHistory() if blocks is None else None
     steps: list[HestonStep] = []
     warned_neg = warned_leak = False
     for k in range(1, n_steps + 1):

@@ -299,6 +299,9 @@ class TriMesh:
 # outside points handled at once by project_to_domain; bounds the
 # (chunk, nbe) temporaries of the nearest-segment search
 _PROJECT_CHUNK = 256
+# edge points handled at once by _lowest_containing; bounds its candidate
+# temporaries, about 18 triangles per point
+_EDGE_CHUNK = 1024
 
 
 def _scan_for_point(mesh: TriMesh, point: np.ndarray):
@@ -319,17 +322,19 @@ def _scan_for_point(mesh: TriMesh, point: np.ndarray):
 def _lowest_containing(mesh: TriMesh, points: np.ndarray, tris: np.ndarray):
     """Lowest-index triangle containing each point, among the triangles that
     share a vertex with ``tris`` (which must contain the points)."""
-    corners = mesh.triangles[tris].ravel()
-    first = mesh._vertex_start[corners]
-    count = mesh._vertex_start[corners + 1] - first
-    owner = np.repeat(np.arange(tris.size).repeat(3), count)
-    # slots first .. first + count - 1 of every corner, one after another
-    ends = np.cumsum(count)
-    slots = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
-    cand = mesh._vertex_tris[slots]
-    ok = mesh.barycentric(cand, points[owner]).min(axis=1) >= -_BARY_TOL
     best = tris.copy()
-    np.minimum.at(best, owner[ok], cand[ok])
+    for lo in range(0, tris.size, _EDGE_CHUNK):
+        part = tris[lo : lo + _EDGE_CHUNK]
+        corners = mesh.triangles[part].ravel()
+        first = mesh._vertex_start[corners]
+        count = mesh._vertex_start[corners + 1] - first
+        owner = np.repeat(np.arange(part.size).repeat(3), count)
+        # slots first .. first + count - 1 of every corner, one after another
+        ends = np.cumsum(count)
+        slots = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
+        cand = mesh._vertex_tris[slots]
+        ok = mesh.barycentric(cand, points[lo + owner]).min(axis=1) >= -_BARY_TOL
+        np.minimum.at(best, lo + owner[ok], cand[ok])
     return best
 
 

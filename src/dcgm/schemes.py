@@ -12,8 +12,10 @@ field with its :class:`StepDiagnostics`.  Without ``history`` a step is a
 pure map whose solve starts from u_prev; a run loop that creates one
 :class:`~dcgm.linalg.SolutionHistory` and passes it to each of its steps
 starts every solve from the best combination of the run's recent solutions
-instead, which saves most of the Krylov iterations.  The schemes differ in
-the transport matrix ``rhs_mat``:
+instead, which saves most of the Krylov iterations.  An operator whose
+``precond`` is an exact solve with ``lhs`` (``heston_run`` sets one) needs
+no history: each solve takes one iteration.  The schemes differ in the
+transport matrix ``rhs_mat``:
 
 * dual characteristic scheme: test functions are pushed forward along the
   flow, rhs_mat = P_fwd^T W P_src.  Row q of P_src holds the barycentric
@@ -31,7 +33,8 @@ the transport matrix ``rhs_mat``:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,7 +142,8 @@ class LinearStep:
 
     ``projected_fraction`` is the share of traced points that left the
     domain and were projected back (0 for the Eulerian schemes, which trace
-    none).
+    none).  ``precond(r)``, when set, approximates lhs^-1 r and
+    preconditions every solve in place of Jacobi.
     """
 
     mesh: TriMesh
@@ -147,6 +151,7 @@ class LinearStep:
     rhs_mat: sp.csr_matrix
     solver_tol: float
     projected_fraction: float
+    precond: Callable | None = field(default=None, kw_only=True)
 
 
 @dataclass(eq=False)
@@ -224,7 +229,8 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
     if g is not None:
         rhs = rhs - op.coupling @ g[op.boundary]
         x0 = x0[op.interior]
-    x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0, history=history)
+    x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0, history=history,
+                      precond=op.precond)
     if not report.converged:
         raise StepError(f"{label} step solve failed", report)
     if g is not None:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dcgm import linalg
 from dcgm.fem import assemble_mass, assemble_stiffness, interpolate
 from dcgm.heston import (HestonParams, TensorField, _boundary_weights,
                          _initial_density, assemble_tensor_stiffness,
@@ -29,6 +30,11 @@ def test_params_validation():
         HestonParams(rho=-1.5)
     with pytest.raises(ValueError):
         HestonParams(T=0.0)
+    # a non-finite input fails here, not after 10 n CG iterations of a run
+    for name in ("r", "mu", "mu_v", "strike", "T", "kappa", "x_max"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                HestonParams(**{name: bad})
 
 
 def test_offdiag_coeff_switch():
@@ -153,9 +159,10 @@ def test_mass_and_conservation_short_run():
     assert np.max(np.abs(masses - 1.0)) <= 1e-8
 
 
-def test_solution_history_changes_only_rounding():
-    # heston_run starts each solve from its recent solutions; the same
-    # steps from u_prev alone agree to well within the solver tolerance
+def test_factored_run_matches_jacobi_steps():
+    # heston_run preconditions every CG solve with the exact level-block
+    # factor; the same steps with Jacobi CG on the unfactored operator agree
+    # to well within the solver tolerance
     params = HestonParams(T=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -166,16 +173,30 @@ def test_solution_history_changes_only_rounding():
         mesh, heston_operator(params).diffusion, nine_point_rule())
     op = dcgm_prepare(mesh, heston_operator(params).drift, config,
                       stiffness=stiffness)
+    assert op.precond is None
     plain = _initial_density(mesh, params)
-    iterations = 0
     for _ in range(40):
         plain, diag = dcgm_step(op, plain)
-        iterations += diag.solver.iterations
+        assert diag.solver.iterations > 1
     scale = np.abs(plain.coeffs).max()
     assert np.abs(u.coeffs - plain.coeffs).max() <= 1e-10 * scale
+    assert all(s.diag.solver.iterations == 1 for s in steps)
     masses = np.array([s.diag.mass for s in steps])
     assert np.max(np.abs(masses - 1.0)) <= 1e-8
-    assert sum(s.diag.solver.iterations for s in steps) < iterations
+
+
+def test_grid_over_the_cap_keeps_jacobi(monkeypatch):
+    # above the block-entry cap heston_run is not factored: Jacobi CG from
+    # the run's solution history, to the same field within the tolerance
+    params = HestonParams(T=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        factored, _, _ = heston_run(params, 20, 20, 10)
+        monkeypatch.setattr(linalg, "_LEVEL_BLOCK_CAP", 0)
+        u, steps, _ = heston_run(params, 20, 20, 10)
+    assert all(s.diag.solver.iterations > 1 for s in steps)
+    scale = np.abs(u.coeffs).max()
+    assert np.abs(u.coeffs - factored.coeffs).max() <= 1e-10 * scale
 
 
 def test_price_monotone_in_spot():

@@ -4,8 +4,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcgm.fem import assemble_mass
-from dcgm.linalg import SolutionHistory, bicgstab_solve, cg_solve
+from dcgm.fem import assemble_mass, assemble_stiffness
+from dcgm.heston import assemble_tensor_stiffness
+from dcgm.linalg import (_LEVEL_BLOCK_CAP, SolutionHistory, _level_blocks,
+                         _level_order, _LevelBlocks, bicgstab_solve, cg_solve)
+from dcgm.mesh import build_disk_mesh, build_rect_mesh
 
 # validation, the zero right-hand side, warm start and the true-residual
 # report live in one driver that both solvers share; each check below runs
@@ -154,3 +157,87 @@ def test_history_start_after_a_repeat(disk60):
     assert second.iterations == 0
     assert second.start_residual == second.residual <= 1e-12 * np.linalg.norm(b)
     np.testing.assert_allclose(x2, x1, rtol=0, atol=1e-11 * np.abs(x1).max())
+
+
+def test_non_finite_rhs_fails_at_once(disk60):
+    M = assemble_mass(disk60)
+    for solve in (cg_solve, bicgstab_solve):
+        for bad in (np.nan, np.inf):
+            b = np.ones(disk60.nv)
+            b[7] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                solve(M, b)
+
+
+# the level-block factor: an exact solve with a P1 matrix in the
+# breadth-first level order of its graph, used as the preconditioner
+
+
+def _rect_or_disk(data):
+    if data.draw(st.booleans(), label="rect"):
+        return build_rect_mesh(data.draw(st.integers(2, 30), label="nx"),
+                               data.draw(st.integers(2, 30), label="ny"),
+                               data.draw(st.floats(0.1, 10.0), label="x_max"),
+                               data.draw(st.floats(0.1, 10.0), label="y_max"))
+    return build_disk_mesh(data.draw(st.integers(8, 60), label="N"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       log_s=st.floats(-3.0, 3.0), tensor=st.booleans())
+def test_level_blocks_solve_exactly(data, seed, log_s, tensor):
+    # M + s K with the Laplacian or a constant PSD tensor (possibly
+    # singular) of the mesh pattern.  b = A y: a random b would put cond(A)
+    # into the residual of any solver, dense LU included
+    mesh = _rect_or_disk(data)
+    rng = np.random.default_rng(seed)
+    if tensor:
+        root = rng.standard_normal((2, 2)) * rng.integers(0, 2, size=(2, 1))
+        D = root.T @ root
+        K = assemble_tensor_stiffness(
+            mesh, lambda x, y: np.broadcast_to(D, np.shape(x) + (2, 2)))
+    else:
+        K = assemble_stiffness(mesh)
+    A = (assemble_mass(mesh) + 10.0**log_s * K).tocsr()
+    b = A @ rng.standard_normal(mesh.nv)
+    x = _LevelBlocks(A, _level_order(A)).solve(b)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("build", [lambda: build_rect_mesh(6, 5, 2.0, 1.0),
+                                   lambda: build_disk_mesh(30)],
+                         ids=["rect", "disk"])
+def test_level_blocks_reject_a_coupling_two_levels_apart(build):
+    A = assemble_mass(build())
+    level = _level_order(A)
+    _LevelBlocks(A, level)
+    i = int(np.flatnonzero(level == 0)[0])
+    j = int(np.flatnonzero(level == 2)[0])
+    bump = sp.csr_matrix(([1e-3, 1e-3], ([i, j], [j, i])), shape=A.shape)
+    with pytest.raises(ValueError, match="more than one level apart"):
+        _LevelBlocks((A + bump).tocsr(), level)
+
+
+def test_level_block_cap():
+    # the widths alone decide: the desk grid is factored, the N = 400 bell
+    # disk is not
+    def block_entries(mesh):
+        return int(np.sum(np.bincount(_level_order(assemble_mass(mesh))) ** 2))
+
+    assert block_entries(build_rect_mesh(60, 60, 200.0, 2.0)) <= _LEVEL_BLOCK_CAP
+    assert block_entries(build_disk_mesh(400)) > _LEVEL_BLOCK_CAP
+    assert _level_blocks(assemble_mass(build_disk_mesh(400))) is None
+
+
+def test_exact_preconditioner_takes_one_iteration(disk60):
+    # with the factor as preconditioner both solvers stop after one
+    # iteration, and the report carries the true residual
+    A = (assemble_mass(disk60) + 0.1 * assemble_stiffness(disk60)).tocsr()
+    blocks = _level_blocks(A)
+    b = A @ np.random.default_rng(5).standard_normal(disk60.nv)
+    for solve in (cg_solve, bicgstab_solve):
+        x, report = solve(A, b, tol=1e-12, precond=blocks.solve)
+        assert report.converged
+        assert report.iterations == 1
+        assert report.residual == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
+        assert report.residual <= 1e-12 * np.linalg.norm(b)

@@ -271,6 +271,17 @@ def test_locate_matches_scan_for_any_hint(probe):
             assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_locate_many_edge_points_matches_scan():
+    # every edge midpoint of a grid in one batch: more edge points than
+    # one chunk of the lowest-index search, each in its lowest triangle
+    mesh = build_rect_mesh(30, 30, 3.0, 2.0)
+    edges = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    pts = mesh.vertices[edges].mean(axis=1)
+    assert pts.shape[0] > mesh_module._EDGE_CHUNK
+    tri, _ = locate_point(mesh, pts)
+    assert tri.tolist() == [_scan_for_point(mesh, p)[0] for p in pts]
+
+
 def l_shaped_mesh(n: int = 9) -> TriMesh:
     """Unit square without its upper-right quadrant: a reflex corner at
     (0.5, 0.5), so the domain is not convex."""
