@@ -10,11 +10,18 @@ curvature correction (dt^2/2) (a . grad) a evaluated at the starting point:
 Both directions keep the same sign on the quadratic term because it is the
 second derivative of the trajectory; for the rigid rotation this makes a
 traced point stay on its circle up to O(dt^4).
+
+:func:`build_traced_points` traces every quadrature node both ways and
+locates each image with one walk, which also flags the images that left the
+mesh.  A scheme reads one direction only: the dual scheme the forward
+images, the primal scheme the backward ones.  So the outside images of a
+direction are projected to the boundary and located again only when
+:meth:`TracedPoints.located` first reads that direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -129,25 +136,31 @@ def trace_backward(field: VelocityField, x, dt: float, sigma: float = 1.0):
 
 @dataclass(eq=False)
 class TracedPoints:
-    """Quadrature nodes with their located forward and backward images.
+    """Quadrature nodes with their traced forward and backward images.
 
     One record per (triangle, quadrature node): ``weights`` holds the node
     weight times the triangle area, so the weights sum to the domain area.
-    Images that left the mesh were pulled back by :func:`project_to_domain`
-    before location and are flagged in ``*_projected``.  Barycentric arrays
-    are clamped to [0, 1] and renormalized to sum exactly to one, which is
-    what makes the scatter of the dual scheme conserve mass.
+    Both directions are traced and walked once when the record is built;
+    ``*_projected`` flags the images that left the mesh.  :meth:`located`
+    gives one direction's triangles and barycentric coordinates: on its
+    first call for that direction the images outside are pulled back by
+    :func:`project_to_domain` and located again, and the result is kept.  A
+    scheme reads one direction, so the other one's outside images are never
+    projected.  Barycentric arrays are clamped to [0, 1] and renormalized to
+    sum exactly to one, which is what makes the scatter of the dual scheme
+    conserve mass.
     """
 
+    mesh: TriMesh
     src_tri: np.ndarray
     src_bary: np.ndarray
     weights: np.ndarray
-    fwd_tri: np.ndarray
-    fwd_bary: np.ndarray
     fwd_projected: np.ndarray
-    bwd_tri: np.ndarray
-    bwd_bary: np.ndarray
     bwd_projected: np.ndarray
+    # "fwd"/"bwd" -> (tri, bary) of the first walk, tri = -1 outside the mesh
+    _walked: dict = field(repr=False)
+    # "fwd"/"bwd" -> coordinates of the outside images, until they are located
+    _outside: dict = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -161,20 +174,19 @@ class TracedPoints:
     def bwd_projected_fraction(self) -> float:
         return float(np.mean(self.bwd_projected))
 
-
-def _locate_with_projection(mesh: TriMesh, points: np.ndarray):
-    tri, bary = locate_point(mesh, points)
-    outside = np.flatnonzero(tri < 0)
-    projected = np.zeros(points.shape[0], dtype=bool)
-    if outside.size:
-        pulled = project_to_domain(mesh, points[outside])
-        tri2, bary2 = locate_point(mesh, pulled)
-        if np.any(tri2 < 0):
-            raise RuntimeError("projected characteristic endpoint not locatable")
-        tri[outside] = tri2
-        bary[outside] = bary2
-        projected[outside] = True
-    return tri, bary, projected
+    def located(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(tri, bary)`` of every image of ``side``, "fwd" or "bwd", with
+        the images outside the mesh projected to its boundary."""
+        tri, bary = self._walked[side]
+        pending = self._outside.pop(side, None)
+        if pending is not None:
+            tri2, bary2 = locate_point(self.mesh, project_to_domain(self.mesh, pending))
+            if np.any(tri2 < 0):
+                raise RuntimeError("projected characteristic endpoint not locatable")
+            outside = tri < 0
+            tri[outside] = tri2
+            bary[outside] = bary2
+        return tri, bary
 
 
 def build_traced_points(
@@ -184,32 +196,31 @@ def build_traced_points(
     dt: float,
     sigma: float = 1.0,
 ) -> TracedPoints:
-    """Trace every quadrature node of every triangle one step both ways.
+    """Trace every quadrature node of every triangle one step both ways and
+    walk each image to its triangle.
 
-    The walk that locates each image starts from the mesh's bucket-grid
-    cell of the image, so its cost does not grow with the length of the
-    characteristic.
+    The walk starts from the mesh's bucket-grid cell of the image, so its
+    cost does not grow with the length of the characteristic.  Images
+    outside the mesh are flagged here and projected only when
+    :meth:`TracedPoints.located` reads their direction.
     """
     nq = len(rule)
     nt = mesh.nt
-    src = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy).reshape(nt * nq, 2)
-    src_tri = np.repeat(np.arange(nt, dtype=np.int64), nq)
-    src_bary = np.tile(rule.points, (nt, 1))
-    weights = (mesh.areas[:, None] * rule.weights[None, :]).reshape(nt * nq)
-
-    fwd = trace_forward(field, src, dt, sigma)
-    bwd = trace_backward(field, src, dt, sigma)
-    fwd_tri, fwd_bary, fwd_proj = _locate_with_projection(mesh, fwd)
-    bwd_tri, bwd_bary, bwd_proj = _locate_with_projection(mesh, bwd)
-
+    src = (rule.points @ mesh._tri_xy).reshape(nt * nq, 2)
+    walked, projected, outside = {}, {}, {}
+    for side, images in (("fwd", trace_forward(field, src, dt, sigma)),
+                         ("bwd", trace_backward(field, src, dt, sigma))):
+        walked[side] = locate_point(mesh, images)
+        projected[side] = walked[side][0] < 0
+        if projected[side].any():
+            outside[side] = images[projected[side]]
     return TracedPoints(
-        src_tri=src_tri,
-        src_bary=src_bary,
-        weights=weights,
-        fwd_tri=fwd_tri,
-        fwd_bary=fwd_bary,
-        fwd_projected=fwd_proj,
-        bwd_tri=bwd_tri,
-        bwd_bary=bwd_bary,
-        bwd_projected=bwd_proj,
+        mesh=mesh,
+        src_tri=np.repeat(np.arange(nt, dtype=np.int64), nq),
+        src_bary=np.tile(rule.points, (nt, 1)),
+        weights=(mesh.areas[:, None] * rule.weights[None, :]).reshape(nt * nq),
+        fwd_projected=projected["fwd"],
+        bwd_projected=projected["bwd"],
+        _walked=walked,
+        _outside=outside,
     )

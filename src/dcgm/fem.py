@@ -189,7 +189,7 @@ def write_field_csv(field: FieldP1, path) -> None:
 def l2_error(field: FieldP1, exact, rule: QuadratureRule) -> float:
     """Quadrature L2 distance between the field and a callable ``exact(x, y)``."""
     mesh = field.mesh
-    phys = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy)  # (nt, nq, 2)
+    phys = rule.points @ mesh._tri_xy  # (nt, nq, 2)
     u = field.coeffs[mesh.triangles] @ rule.points.T  # (nt, nq)
     e = _call_on_points(exact, phys[:, :, 0], phys[:, :, 1])
     per_tri = (u - e) ** 2 @ rule.weights

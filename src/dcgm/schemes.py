@@ -161,7 +161,7 @@ class DcgmOperator(LinearStep):
     ``lhs`` is the SPD matrix mass + nu dt stiffness.  ``rhs_mat`` is the
     transport: the conservative forward-image scatter P_fwd^T W P_src when
     ``dual`` is set, the primal backward-image gather P_src^T W P_bwd
-    otherwise.  ``traced`` keeps the located images both were built from.
+    otherwise.  ``traced`` keeps the traced images it was built from.
     """
 
     traced: TracedPoints
@@ -191,16 +191,19 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
     tp = build_traced_points(mesh, field, rule, config.dt, config.sigma)
     if stiffness is None:
         stiffness = assemble_stiffness(mesh)
-    src = _interpolation_matrix(mesh, tp.src_tri, tp.src_bary)
-    weights = sp.diags(tp.weights)
-    if dual:
-        fwd = _interpolation_matrix(mesh, tp.fwd_tri, tp.fwd_bary)
-        rhs_mat = fwd.T @ weights @ src
+    # the node weights go into the transposed factor's data, so the
+    # transport is one sparse product
+    w = tp.weights[:, None]
+    if dual:  # P_fwd^T W P_src
+        tri, bary = tp.located("fwd")
+        left, right = (tri, bary * w), (tp.src_tri, tp.src_bary)
         fraction = tp.fwd_projected_fraction
-    else:
-        bwd = _interpolation_matrix(mesh, tp.bwd_tri, tp.bwd_bary)
-        rhs_mat = src.T @ weights @ bwd
+    else:  # P_src^T W P_bwd
+        tri, bary = tp.located("bwd")
+        left, right = (tp.src_tri, tp.src_bary * w), (tri, bary)
         fraction = tp.bwd_projected_fraction
+    rhs_mat = (_interpolation_matrix(mesh, *left).T
+               @ _interpolation_matrix(mesh, *right))
     return DcgmOperator(
         mesh=mesh,
         lhs=assemble_mass(mesh) + (config.nu * config.dt) * stiffness,
@@ -270,7 +273,7 @@ def pcgm_step(op: DcgmOperator, u_prev: FieldP1,
 
 def _velocity_at_midedges(mesh: TriMesh, field: VelocityField):
     rule = midedge_rule()
-    pts = np.einsum("qi,tid->tqd", rule.points, mesh._tri_xy)  # (nt, 3, 2)
+    pts = rule.points @ mesh._tri_xy  # (nt, 3, 2)
     ax, ay = field.value(pts[:, :, 0], pts[:, :, 1])
     shape = (mesh.nt, 3)
     ax = np.broadcast_to(np.asarray(ax, dtype=float), shape)

@@ -6,8 +6,9 @@ import pytest
 from dcgm.characteristics import (VelocityField, build_traced_points,
                                   rotation_field, trace_backward,
                                   trace_forward, uniform_field)
-from dcgm.mesh import build_disk_mesh
-from dcgm.quadrature import nine_point_rule
+from dcgm.mesh import build_disk_mesh, locate_point, project_to_domain
+from dcgm.quadrature import midedge_rule, nine_point_rule
+from test_mesh import l_shaped_mesh
 
 
 def test_rotation_closed_form():
@@ -87,8 +88,9 @@ def test_traced_points_weights(disk100):
     # quadrature weights partition the mesh area
     assert tp.weights.sum() == pytest.approx(disk100.total_area, rel=1e-13)
     assert np.allclose(tp.src_bary.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(tp.fwd_bary.sum(axis=1), 1.0, atol=1e-12)
-    assert tp.fwd_bary.min() >= -1e-12
+    _, fwd_bary = tp.located("fwd")
+    assert np.allclose(fwd_bary.sum(axis=1), 1.0, atol=1e-12)
+    assert fwd_bary.min() >= -1e-12
 
 
 def test_traced_points_projection_fraction(disk100):
@@ -103,6 +105,32 @@ def test_traced_points_pure_rotation_small_dt(disk100):
     # infinitesimal step: forward locations coincide with the sources
     src = np.einsum("qi,tid->tqd", nine_point_rule().points,
                     disk100.vertices[disk100.triangles]).reshape(-1, 2)
-    v = disk100.vertices[disk100.triangles[tp.fwd_tri]]
-    fwd = np.einsum("pi,pid->pd", tp.fwd_bary, v)
+    fwd_tri, fwd_bary = tp.located("fwd")
+    v = disk100.vertices[disk100.triangles[fwd_tri]]
+    fwd = np.einsum("pi,pid->pd", fwd_bary, v)
     assert np.max(np.hypot(*(fwd - src).T)) < 1e-7
+
+
+@pytest.mark.parametrize("mesh", [build_disk_mesh(30), l_shaped_mesh(9)],
+                         ids=["disk", "l-shape"])
+def test_located_images_match_locate_project_locate(mesh):
+    # a translation pushes images out on one side going forward and on the
+    # other going back; on the L-shape some leave through the notch
+    field, dt = uniform_field(0.6, 0.45), 0.2
+    rule = midedge_rule()
+    tp = build_traced_points(mesh, field, rule, dt)
+    src = (rule.points @ mesh._tri_xy).reshape(-1, 2)
+    for side, images in (("fwd", trace_forward(field, src, dt)),
+                         ("bwd", trace_backward(field, src, dt))):
+        tri, bary = locate_point(mesh, images)
+        outside = tri < 0
+        assert outside.any()
+        np.testing.assert_array_equal(getattr(tp, f"{side}_projected"), outside)
+        assert getattr(tp, f"{side}_projected_fraction") == np.mean(outside)
+        tri[outside], bary[outside] = locate_point(
+            mesh, project_to_domain(mesh, images[outside]))
+        got_tri, got_bary = tp.located(side)
+        np.testing.assert_array_equal(got_tri, tri)
+        np.testing.assert_array_equal(got_bary, bary)
+        # a second read gives the kept arrays
+        assert tp.located(side)[0] is got_tri

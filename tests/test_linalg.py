@@ -184,24 +184,39 @@ def _rect_or_disk(data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
-       log_s=st.floats(-3.0, 3.0), tensor=st.booleans())
-def test_level_blocks_solve_exactly(data, seed, log_s, tensor):
+       log_s=st.floats(-3.0, 3.0),
+       kind=st.sampled_from(["laplacian", "tensor", "nonsymmetric"]))
+def test_level_blocks_solve_exactly(data, seed, log_s, kind):
     # M + s K with the Laplacian or a constant PSD tensor (possibly
-    # singular) of the mesh pattern.  b = A y: a random b would put cond(A)
-    # into the residual of any solver, dense LU included
+    # singular) of the mesh pattern, or a random nonsymmetric matrix of that
+    # pattern with a strictly dominant diagonal of either sign.  b = A y: a
+    # random b would put cond(A) into the residual of any solver, dense LU
+    # included
     mesh = _rect_or_disk(data)
     rng = np.random.default_rng(seed)
-    if tensor:
-        root = rng.standard_normal((2, 2)) * rng.integers(0, 2, size=(2, 1))
-        D = root.T @ root
-        K = assemble_tensor_stiffness(
-            mesh, lambda x, y: np.broadcast_to(D, np.shape(x) + (2, 2)))
+    if kind == "nonsymmetric":
+        A = assemble_mass(mesh).tocoo()
+        A.data = rng.uniform(-1.0, 1.0, A.nnz) * (A.row != A.col)
+        A = A.tocsr()
+        dominance = np.abs(A).sum(axis=1).A1 + rng.uniform(0.1, 1.0, mesh.nv)
+        A = (A + sp.diags(dominance * rng.choice([-1.0, 1.0], mesh.nv))).tocsr()
     else:
-        K = assemble_stiffness(mesh)
-    A = (assemble_mass(mesh) + 10.0**log_s * K).tocsr()
+        if kind == "tensor":
+            root = rng.standard_normal((2, 2)) * rng.integers(0, 2, size=(2, 1))
+            D = root.T @ root
+            K = assemble_tensor_stiffness(
+                mesh, lambda x, y: np.broadcast_to(D, np.shape(x) + (2, 2)))
+        else:
+            K = assemble_stiffness(mesh)
+        A = (assemble_mass(mesh) + 10.0**log_s * K).tocsr()
     b = A @ rng.standard_normal(mesh.nv)
-    x = _LevelBlocks(A, _level_order(A)).solve(b)
+    blocks = _LevelBlocks(A, _level_order(A))
+    x = blocks.solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    if kind == "nonsymmetric":
+        # preconditioned by the factor, BiCGStab stops after one iteration
+        x, report = bicgstab_solve(A, b, tol=1e-12, precond=blocks.solve)
+        assert report.converged and report.iterations == 1
 
 
 @pytest.mark.parametrize("build", [lambda: build_rect_mesh(6, 5, 2.0, 1.0),

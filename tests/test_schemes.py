@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcgm import characteristics
 from dcgm.characteristics import rotation_field, uniform_field
 from dcgm.fem import FieldP1, assemble_mass, integral, interpolate
+from dcgm.heston import HestonParams, heston_operator
 from dcgm.mesh import build_disk_mesh, build_rect_mesh
+from dcgm.quadrature import nine_point_rule
 from dcgm.schemes import (CflWarning, SchemeConfig, StepDiagnostics, StepError,
                           centered_prepare, centered_step, cfl_dt_guideline,
                           dcgm_dirichlet_prepare, dcgm_dirichlet_step,
@@ -230,3 +233,36 @@ def test_transport_is_nonnegative(ax, ay, dt, quadrature):
                dcgm_prepare(mesh, field, config, dual=False),
                dcgm_dirichlet_prepare(mesh, field, config)):
         assert op.rhs_mat.data.min() >= 0.0
+
+
+def test_prepare_projects_only_the_images_it_reads(monkeypatch):
+    seen = []  # the points of every projection of traced images
+    project = characteristics.project_to_domain
+
+    def counted(mesh, points):
+        seen.append(np.array(points))
+        return project(mesh, points)
+
+    monkeypatch.setattr(characteristics, "project_to_domain", counted)
+    # the Heston drift keeps every forward image in the rectangle but takes
+    # backward ones out of it, so the dual prepare projects nothing
+    params = HestonParams()
+    mesh = build_rect_mesh(10, 10, params.x_max, params.y_max)
+    config = SchemeConfig(nu=1.0, dt=params.T / 300)
+    op = dcgm_prepare(mesh, heston_operator(params).drift, config)
+    assert not op.traced.fwd_projected.any() and op.traced.bwd_projected.any()
+    assert seen == []
+
+    # a translation takes images out both ways; the primal prepare projects
+    # the backward ones, once, and never a forward one
+    field = uniform_field(0.6, 0.45)
+    op = dcgm_prepare(mesh, field, config, dual=False)
+    tp = op.traced
+    assert tp.fwd_projected.any() and tp.bwd_projected.any()
+    assert op.projected_fraction == tp.bwd_projected_fraction
+    src = (nine_point_rule().points @ mesh._tri_xy).reshape(-1, 2)
+    back = characteristics.trace_backward(field, src, config.dt)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], back[tp.bwd_projected])
+    tp.located("bwd")
+    assert len(seen) == 1
