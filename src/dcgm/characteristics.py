@@ -14,23 +14,29 @@ traced point stay on its circle up to O(dt^4).
 :func:`build_traced_points` traces every quadrature node both ways and
 locates each image with one walk, which also flags the images that left the
 mesh.  A scheme reads one direction only: the dual scheme the forward
-images, the primal scheme the backward ones.  So the outside images of a
-direction are projected to the boundary and located again only when
-:meth:`TracedPoints.located` first reads that direction.
+images, the primal scheme the backward ones.  For that direction the
+outside images are projected to the boundary and located again, and the
+step's transport matrix is built from the located images.  The images are
+only scaffolding for that matrix: the build runs in blocks of whole
+triangles, and what it keeps is the matrix and the two flag arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import TriMesh, locate_point, project_to_domain
 from .quadrature import QuadratureRule
 
 # points traced at a time; bounds the (m, 2, 2) Jacobian and its temporaries
 _TRACE_BLOCK = 8192
+# quadrature points build_traced_points traces, walks and multiplies at a
+# time, in blocks of whole triangles; bounds its per-point arrays
+_BUILD_BLOCK = 32768
 
 __all__ = [
     "VelocityField",
@@ -136,35 +142,25 @@ def trace_backward(field: VelocityField, x, dt: float, sigma: float = 1.0):
 
 @dataclass(eq=False)
 class TracedPoints:
-    """Quadrature nodes with their traced forward and backward images.
+    """The transport of one step and the flags of the images behind it.
 
-    One record per (triangle, quadrature node): ``weights`` holds the node
-    weight times the triangle area, so the weights sum to the domain area.
-    Both directions are traced and walked once when the record is built;
-    ``*_projected`` flags the images that left the mesh.  :meth:`located`
-    gives one direction's triangles and barycentric coordinates: on its
-    first call for that direction the images outside are pulled back by
-    :func:`project_to_domain` and located again, and the result is kept.  A
-    scheme reads one direction, so the other one's outside images are never
-    projected.  Barycentric arrays are clamped to [0, 1] and renormalized to
-    sum exactly to one, which is what makes the scatter of the dual scheme
-    conserve mass.
+    There is one point per (triangle, quadrature node), ``n_points`` in all.
+    Both directions are traced and walked; ``*_projected`` flags the images
+    that left the mesh.  ``transport`` is the step's transport matrix, built
+    from the direction the scheme reads: P_fwd^T W P_src for the dual
+    scheme, P_src^T W P_bwd for the primal one.  Row q of P_src holds the
+    barycentric weights of node q in its own triangle, row q of P_fwd or
+    P_bwd those of its image, and W is diagonal with the node weights times
+    the triangle areas.  An image outside the mesh is pulled back by
+    :func:`project_to_domain` and located again first.  Barycentric
+    coordinates are clamped to [0, 1] and renormalized to sum exactly to
+    one, which is what makes the dual transport conserve mass.
     """
 
-    mesh: TriMesh
-    src_tri: np.ndarray
-    src_bary: np.ndarray
-    weights: np.ndarray
+    n_points: int
     fwd_projected: np.ndarray
     bwd_projected: np.ndarray
-    # "fwd"/"bwd" -> (tri, bary) of the first walk, tri = -1 outside the mesh
-    _walked: dict = field(repr=False)
-    # "fwd"/"bwd" -> coordinates of the outside images, until they are located
-    _outside: dict = field(repr=False)
-
-    @property
-    def n_points(self) -> int:
-        return self.weights.shape[0]
+    transport: sp.csr_matrix
 
     @property
     def fwd_projected_fraction(self) -> float:
@@ -174,19 +170,16 @@ class TracedPoints:
     def bwd_projected_fraction(self) -> float:
         return float(np.mean(self.bwd_projected))
 
-    def located(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(tri, bary)`` of every image of ``side``, "fwd" or "bwd", with
-        the images outside the mesh projected to its boundary."""
-        tri, bary = self._walked[side]
-        pending = self._outside.pop(side, None)
-        if pending is not None:
-            tri2, bary2 = locate_point(self.mesh, project_to_domain(self.mesh, pending))
-            if np.any(tri2 < 0):
-                raise RuntimeError("projected characteristic endpoint not locatable")
-            outside = tri < 0
-            tri[outside] = tri2
-            bary[outside] = bary2
-        return tri, bary
+
+def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
+                          bary: np.ndarray) -> sp.csr_matrix:
+    """Point values from vertex values: row q holds the barycentric weights
+    ``bary[q]`` at the three vertices of triangle ``tri[q]``."""
+    n = tri.shape[0]
+    return sp.csr_matrix(
+        (bary.ravel(), mesh.triangles[tri].ravel(), np.arange(0, 3 * n + 1, 3)),
+        shape=(n, mesh.nv),
+    )
 
 
 def build_traced_points(
@@ -195,32 +188,66 @@ def build_traced_points(
     rule: QuadratureRule,
     dt: float,
     sigma: float = 1.0,
+    dual: bool = True,
 ) -> TracedPoints:
-    """Trace every quadrature node of every triangle one step both ways and
-    walk each image to its triangle.
+    """Trace every quadrature node of every triangle one step both ways,
+    walk each image to its triangle, and build the transport from the
+    forward images (``dual``) or the backward ones.
 
     The walk starts from the mesh's bucket-grid cell of the image, so its
-    cost does not grow with the length of the characteristic.  Images
-    outside the mesh are flagged here and projected only when
-    :meth:`TracedPoints.located` reads their direction.
+    cost does not grow with the length of the characteristic.  Only the
+    outside images of the direction read are projected.  The work runs in
+    blocks of whole triangles, about ``_BUILD_BLOCK`` points each: a block's
+    transport is one sparse product, kept as coordinates, and one sum at the
+    end gives the matrix.  Each point is located on its own, so the blocks
+    change only the order in which the transport is summed.
     """
     nq = len(rule)
     nt = mesh.nt
-    src = (rule.points @ mesh._tri_xy).reshape(nt * nq, 2)
-    walked, projected, outside = {}, {}, {}
-    for side, images in (("fwd", trace_forward(field, src, dt, sigma)),
-                         ("bwd", trace_backward(field, src, dt, sigma))):
-        walked[side] = locate_point(mesh, images)
-        projected[side] = walked[side][0] < 0
-        if projected[side].any():
-            outside[side] = images[projected[side]]
+    read = "fwd" if dual else "bwd"
+    projected = {side: np.empty(nt * nq, dtype=bool) for side in ("fwd", "bwd")}
+    per_block = max(1, _BUILD_BLOCK // nq)
+    rows, cols, vals = [], [], []
+    for t0 in range(0, nt, per_block):
+        t1 = min(t0 + per_block, nt)
+        src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
+        for side, trace in (("fwd", trace_forward), ("bwd", trace_backward)):
+            images = trace(field, src, dt, sigma)
+            tri, bary = locate_point(mesh, images)
+            outside = tri < 0
+            projected[side][t0 * nq:t1 * nq] = outside
+            if side != read:
+                continue
+            if outside.any():
+                tri2, bary2 = locate_point(
+                    mesh, project_to_domain(mesh, images[outside]))
+                if np.any(tri2 < 0):
+                    raise RuntimeError("projected characteristic endpoint "
+                                       "not locatable")
+                tri[outside] = tri2
+                bary[outside] = bary2
+            image = (tri, bary)
+        # the node weights go into the transposed factor's data, so the
+        # block's transport is one sparse product
+        w = (mesh.areas[t0:t1, None] * rule.weights[None, :]).reshape(-1, 1)
+        src_tri = np.repeat(np.arange(t0, t1, dtype=np.int64), nq)
+        src_bary = np.tile(rule.points, (t1 - t0, 1))
+        if dual:  # P_fwd^T W P_src
+            left, right = (image[0], image[1] * w), (src_tri, src_bary)
+        else:  # P_src^T W P_bwd
+            left, right = (src_tri, src_bary * w), image
+        block = (_interpolation_matrix(mesh, *left).T
+                 @ _interpolation_matrix(mesh, *right)).tocoo()
+        rows.append(block.row)
+        cols.append(block.col)
+        vals.append(block.data)
+    transport = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.nv, mesh.nv),
+    )
     return TracedPoints(
-        mesh=mesh,
-        src_tri=np.repeat(np.arange(nt, dtype=np.int64), nq),
-        src_bary=np.tile(rule.points, (nt, 1)),
-        weights=(mesh.areas[:, None] * rule.weights[None, :]).reshape(nt * nq),
+        n_points=nt * nq,
         fwd_projected=projected["fwd"],
         bwd_projected=projected["bwd"],
-        _walked=walked,
-        _outside=outside,
+        transport=transport,
     )

@@ -58,8 +58,10 @@ class SolutionHistory:
 
     The images q_j = A y_j are kept orthonormal, so ``start(b)`` =
     sum_j (q_j . b) y_j is the combination of the held solutions with the
-    smallest residual ||b - A x||.  The newest solution stays in the span,
-    so the start is never worse than the newest solution itself.  ``R``
+    smallest residual ||b - A x||.  In exact arithmetic the newest solution
+    stays in the span, so the start is never worse than it; in a nearly
+    dependent basis rounding can break that, so ``start`` also keeps the
+    newest solution and returns it when it is the better start.  ``R``
     records the raw images, A x_k = sum_j R[j, k] q_j, which lets a full
     window shrink to the span of its newest half without any matrix
     application.  A history serves a single matrix; it belongs to one run.
@@ -69,6 +71,7 @@ class SolutionHistory:
         self.matrix = None
         self.count = 0
         self.Y = self.Q = self.R = None
+        self.newest = None  # (x, A x) of the last solution added
 
     def _check(self, A) -> None:
         if self.matrix is None:
@@ -77,19 +80,28 @@ class SolutionHistory:
             raise ValueError("a solution history serves one matrix; "
                              "this solve passed another")
 
-    def start(self, A, b: np.ndarray) -> np.ndarray:
-        """Start for ``A x = b``: the held combination nearest in residual."""
+    def start(self, A, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Start ``x`` for ``A x = b`` and its image ``A x``: the held
+        combination nearest in residual, or the newest solution when that is
+        nearer."""
         self._check(A)
         k = self.count
-        return (self.Q[:k] @ b) @ self.Y[:k]
+        x = (self.Q[:k] @ b) @ self.Y[:k]
+        ax = A @ x
+        x_new, ax_new = self.newest
+        if np.linalg.norm(b - ax_new) < np.linalg.norm(b - ax):
+            return x_new.copy(), ax_new
+        return x, ax
 
     def add(self, A, x: np.ndarray, ax: np.ndarray) -> None:
         """Add the solution ``x`` with its image ``ax`` = A x.
 
         Classical Gram-Schmidt, applied twice, takes the held images out of
-        ``ax``; a solution whose image nearly lies in their span is dropped.
+        ``ax``; a solution whose image nearly lies in their span is dropped,
+        though it is still kept as the newest one.
         """
         self._check(A)
+        self.newest = (x.copy(), ax)
         if self.Y is None:
             n = x.shape[0]
             self.Y = np.empty((_HISTORY_SIZE, n))
@@ -242,6 +254,17 @@ def _level_blocks(A: sp.csr_matrix) -> _LevelBlocks | None:
     return _LevelBlocks(A, level)
 
 
+def _jacobi(A: sp.csr_matrix):
+    """The Jacobi preconditioner r -> r / diag(A); a nonpositive diagonal
+    entry counts as one, which keeps the preconditioner positive definite."""
+    diag = A.diagonal()
+    diag[diag <= 0.0] = 1.0
+
+    def precond(r):
+        return r / diag
+    return precond
+
+
 def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
            history: SolutionHistory | None, precond):
     """Run ``sweep`` from the true residual, at most three passes.
@@ -252,8 +275,8 @@ def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
     10 n iterations in all ends the solve.  ``sweep(A, x, r, precond,
     target, budget)`` updates x in place and returns ``(iterations,
     broke)``; ``precond`` defaults to Jacobi.  A non-empty ``history``
-    replaces ``x0`` by its projected start, and a converged x joins it with
-    the image A x that the final residual already needed.
+    replaces ``x0`` by its start, and a converged x joins it with the image
+    A x that the final residual already needed.
     """
     n = A.shape[0]
     if A.shape != (n, n):
@@ -269,17 +292,12 @@ def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
         return np.zeros(n), SolveReport(True, 0, 0.0, 0.0)
     target = tol * norm_b
     if precond is None:
-        diag = A.diagonal()
-        diag[diag <= 0.0] = 1.0  # keep the preconditioner positive definite
-
-        def precond(r):
-            return r / diag
+        precond = _jacobi(A)
     if history is not None and history.count:
-        x = history.start(A, b)
+        x, ax = history.start(A, b)
     else:
         x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-
-    ax = A @ x
+        ax = A @ x
     res = start = float(np.linalg.norm(b - ax))
     total = 0
     broke = False

@@ -48,7 +48,8 @@ from .fem import (
     basis_gradients,
     integral,
 )
-from .linalg import SolutionHistory, SolveReport, bicgstab_solve, cg_solve
+from .linalg import (SolutionHistory, SolveReport, _jacobi, bicgstab_solve,
+                     cg_solve)
 from .mesh import TriMesh
 from .quadrature import midedge_rule, rule_by_name
 
@@ -142,8 +143,9 @@ class LinearStep:
 
     ``projected_fraction`` is the share of traced points that left the
     domain and were projected back (0 for the Eulerian schemes, which trace
-    none).  ``precond(r)``, when set, approximates lhs^-1 r and
-    preconditions every solve in place of Jacobi.
+    none).  ``precond(r)`` approximates lhs^-1 r and preconditions every
+    solve; when none is given it is Jacobi, r / diag(lhs), with the
+    diagonal taken once here.
     """
 
     mesh: TriMesh
@@ -153,6 +155,10 @@ class LinearStep:
     projected_fraction: float
     precond: Callable | None = field(default=None, kw_only=True)
 
+    def __post_init__(self):
+        if self.precond is None:
+            self.precond = _jacobi(self.lhs)
+
 
 @dataclass(eq=False)
 class DcgmOperator(LinearStep):
@@ -161,22 +167,14 @@ class DcgmOperator(LinearStep):
     ``lhs`` is the SPD matrix mass + nu dt stiffness.  ``rhs_mat`` is the
     transport: the conservative forward-image scatter P_fwd^T W P_src when
     ``dual`` is set, the primal backward-image gather P_src^T W P_bwd
-    otherwise.  ``traced`` keeps the traced images it was built from.
+    otherwise.  ``traced`` is the record the transport came from: the point
+    count, the flags of the images that left the mesh and, as
+    ``traced.transport``, ``rhs_mat`` itself; no per-point array outlives
+    the prepare.
     """
 
     traced: TracedPoints
     dual: bool
-
-
-def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
-                          bary: np.ndarray) -> sp.csr_matrix:
-    """Point values from vertex values: row q holds the barycentric weights
-    ``bary[q]`` at the three vertices of triangle ``tri[q]``."""
-    n = tri.shape[0]
-    return sp.csr_matrix(
-        (bary.ravel(), mesh.triangles[tri].ravel(), np.arange(0, 3 * n + 1, 3)),
-        shape=(n, mesh.nv),
-    )
 
 
 def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
@@ -188,28 +186,17 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
     anisotropic one, say); it is scaled by nu dt all the same.
     """
     rule = rule_by_name(config.quadrature)
-    tp = build_traced_points(mesh, field, rule, config.dt, config.sigma)
+    tp = build_traced_points(mesh, field, rule, config.dt, config.sigma,
+                             dual=dual)
     if stiffness is None:
         stiffness = assemble_stiffness(mesh)
-    # the node weights go into the transposed factor's data, so the
-    # transport is one sparse product
-    w = tp.weights[:, None]
-    if dual:  # P_fwd^T W P_src
-        tri, bary = tp.located("fwd")
-        left, right = (tri, bary * w), (tp.src_tri, tp.src_bary)
-        fraction = tp.fwd_projected_fraction
-    else:  # P_src^T W P_bwd
-        tri, bary = tp.located("bwd")
-        left, right = (tp.src_tri, tp.src_bary * w), (tri, bary)
-        fraction = tp.bwd_projected_fraction
-    rhs_mat = (_interpolation_matrix(mesh, *left).T
-               @ _interpolation_matrix(mesh, *right))
     return DcgmOperator(
         mesh=mesh,
         lhs=assemble_mass(mesh) + (config.nu * config.dt) * stiffness,
-        rhs_mat=rhs_mat.tocsr(),
+        rhs_mat=tp.transport,
         solver_tol=config.solver_tol,
-        projected_fraction=fraction,
+        projected_fraction=(tp.fwd_projected_fraction if dual
+                            else tp.bwd_projected_fraction),
         traced=tp,
         dual=dual,
     )

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dcgm import characteristics
 from dcgm.characteristics import (VelocityField, build_traced_points,
                                   rotation_field, trace_backward,
                                   trace_forward, uniform_field)
-from dcgm.mesh import build_disk_mesh, locate_point, project_to_domain
+from dcgm.fem import assemble_mass
+from dcgm.mesh import (build_disk_mesh, build_rect_mesh, locate_point,
+                       project_to_domain)
 from dcgm.quadrature import midedge_rule, nine_point_rule
 from test_mesh import l_shaped_mesh
 
@@ -85,12 +89,12 @@ def test_traced_points_weights(disk100):
     rule = nine_point_rule()
     tp = build_traced_points(disk100, rotation_field(), rule, dt=0.1)
     assert tp.n_points == disk100.nt * len(rule)
-    # quadrature weights partition the mesh area
-    assert tp.weights.sum() == pytest.approx(disk100.total_area, rel=1e-13)
-    assert np.allclose(tp.src_bary.sum(axis=1), 1.0, atol=1e-12)
-    _, fwd_bary = tp.located("fwd")
-    assert np.allclose(fwd_bary.sum(axis=1), 1.0, atol=1e-12)
-    assert fwd_bary.min() >= -1e-12
+    # the node weights partition each triangle's area and the clamped
+    # barycentrics of each image sum to one, so the dual transport's column
+    # sums are the mass matrix's, and no entry is negative
+    column_sums = np.asarray(tp.transport.sum(axis=0)).ravel()
+    np.testing.assert_allclose(column_sums, disk100.vertex_mass, rtol=1e-13)
+    assert tp.transport.data.min() >= 0.0
 
 
 def test_traced_points_projection_fraction(disk100):
@@ -101,36 +105,68 @@ def test_traced_points_projection_fraction(disk100):
 
 
 def test_traced_points_pure_rotation_small_dt(disk100):
+    # infinitesimal step: every forward image is its source, so the dual
+    # transport P_src^T W P_src is the mass matrix (the rule is exact for
+    # products of two P1 functions)
     tp = build_traced_points(disk100, rotation_field(), nine_point_rule(), dt=1e-8)
-    # infinitesimal step: forward locations coincide with the sources
-    src = np.einsum("qi,tid->tqd", nine_point_rule().points,
-                    disk100.vertices[disk100.triangles]).reshape(-1, 2)
-    fwd_tri, fwd_bary = tp.located("fwd")
-    v = disk100.vertices[disk100.triangles[fwd_tri]]
-    fwd = np.einsum("pi,pid->pd", fwd_bary, v)
-    assert np.max(np.hypot(*(fwd - src).T)) < 1e-7
+    mass = assemble_mass(disk100)
+    gap = abs(tp.transport - mass).max()
+    assert gap <= 1e-7 * abs(mass).max()
 
 
-@pytest.mark.parametrize("mesh", [build_disk_mesh(30), l_shaped_mesh(9)],
-                         ids=["disk", "l-shape"])
-def test_located_images_match_locate_project_locate(mesh):
-    # a translation pushes images out on one side going forward and on the
-    # other going back; on the L-shape some leave through the notch
-    field, dt = uniform_field(0.6, 0.45), 0.2
-    rule = midedge_rule()
-    tp = build_traced_points(mesh, field, rule, dt)
+def _whole_array_transport(mesh, field, rule, dt, dual):
+    """The transport and both flag arrays built in one pass over all points:
+    ``locate_point``, then ``project_to_domain`` and ``locate_point`` on the
+    outside images of the direction read, then one sparse product."""
     src = (rule.points @ mesh._tri_xy).reshape(-1, 2)
-    for side, images in (("fwd", trace_forward(field, src, dt)),
-                         ("bwd", trace_backward(field, src, dt))):
+    read = "fwd" if dual else "bwd"
+    flags = {}
+    for side, trace in (("fwd", trace_forward), ("bwd", trace_backward)):
+        images = trace(field, src, dt)
         tri, bary = locate_point(mesh, images)
-        outside = tri < 0
-        assert outside.any()
-        np.testing.assert_array_equal(getattr(tp, f"{side}_projected"), outside)
-        assert getattr(tp, f"{side}_projected_fraction") == np.mean(outside)
-        tri[outside], bary[outside] = locate_point(
-            mesh, project_to_domain(mesh, images[outside]))
-        got_tri, got_bary = tp.located(side)
-        np.testing.assert_array_equal(got_tri, tri)
-        np.testing.assert_array_equal(got_bary, bary)
-        # a second read gives the kept arrays
-        assert tp.located(side)[0] is got_tri
+        flags[side] = outside = tri < 0
+        if side == read:
+            tri[outside], bary[outside] = locate_point(
+                mesh, project_to_domain(mesh, images[outside]))
+            image = (tri, bary)
+
+    def interpolation(tri, bary):
+        n = tri.shape[0]
+        return sp.csr_matrix((bary.ravel(), mesh.triangles[tri].ravel(),
+                              np.arange(0, 3 * n + 1, 3)), shape=(n, mesh.nv))
+
+    nq = len(rule)
+    w = sp.diags((mesh.areas[:, None] * rule.weights).ravel())
+    p_src = interpolation(np.repeat(np.arange(mesh.nt), nq),
+                          np.tile(rule.points, (mesh.nt, 1)))
+    p_img = interpolation(*image)
+    transport = p_img.T @ w @ p_src if dual else p_src.T @ w @ p_img
+    return transport.tocsr(), flags["fwd"], flags["bwd"]
+
+
+@pytest.mark.parametrize("mesh", [build_disk_mesh(30), l_shaped_mesh(9),
+                                  build_rect_mesh(7, 6, 1.0, 0.8)],
+                         ids=["disk", "l-shape", "rect"])
+def test_located_images_match_locate_project_locate(mesh, monkeypatch):
+    # blocks of a few triangles: each point is located on its own, so the
+    # blocked build differs from the whole-array one only in the order its
+    # transport is summed.  A translation pushes images out on one side
+    # going forward and on the other going back; on the L-shape some leave
+    # through the notch.
+    monkeypatch.setattr(characteristics, "_BUILD_BLOCK", 64)
+    field, dt = uniform_field(0.6, 0.45), 0.2
+    for rule in (midedge_rule(), nine_point_rule()):
+        assert mesh.nt * len(rule) > 2 * 64
+        for dual in (True, False):
+            tp = build_traced_points(mesh, field, rule, dt, dual=dual)
+            want, fwd, bwd = _whole_array_transport(mesh, field, rule, dt, dual)
+            assert fwd.any() and bwd.any()
+            np.testing.assert_array_equal(tp.fwd_projected, fwd)
+            np.testing.assert_array_equal(tp.bwd_projected, bwd)
+            assert tp.fwd_projected_fraction == np.mean(fwd)
+            got = tp.transport.copy()
+            got.sort_indices()
+            want.sort_indices()
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)

@@ -173,7 +173,9 @@ def test_factored_run_matches_jacobi_steps():
         mesh, heston_operator(params).diffusion, nine_point_rule())
     op = dcgm_prepare(mesh, heston_operator(params).drift, config,
                       stiffness=stiffness)
-    assert op.precond is None
+    # without a factor the operator keeps the Jacobi preconditioner
+    r = np.linspace(1.0, 2.0, mesh.nv)
+    np.testing.assert_array_equal(op.precond(r), r / op.lhs.diagonal())
     plain = _initial_density(mesh, params)
     for _ in range(40):
         plain, diag = dcgm_step(op, plain)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcgm.fem import assemble_mass, assemble_stiffness
@@ -110,6 +110,9 @@ def dominant_system(seed: int, n: int, symmetric: bool) -> sp.csr_matrix:
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
        symmetric=st.booleans(), n_rhs=st.integers(1, 40),
        drift=st.floats(-15.0, 1.0))
+# right-hand sides that move by 1.7e-12: rounding made the projected start
+# 2.2e-13 ||b|| worse than the newest solution
+@example(seed=13507, n=19, symmetric=True, n_rhs=24, drift=-11.7578125)
 def test_history_start_never_worse(seed, n, symmetric, n_rhs, drift):
     # a sequence of right-hand sides that each move by 10**drift: the
     # projected start is never worse than the previous solution, whatever

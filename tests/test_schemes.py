@@ -1,5 +1,6 @@
 """Time-stepping schemes: fixed points, conservation, reuse, diagnostics."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,6 +245,9 @@ def test_prepare_projects_only_the_images_it_reads(monkeypatch):
         return project(mesh, points)
 
     monkeypatch.setattr(characteristics, "project_to_domain", counted)
+    # blocks of a few triangles, so the outside images reach the projection
+    # in several batches
+    monkeypatch.setattr(characteristics, "_BUILD_BLOCK", 64)
     # the Heston drift keeps every forward image in the rectangle but takes
     # backward ones out of it, so the dual prepare projects nothing
     params = HestonParams()
@@ -254,7 +258,7 @@ def test_prepare_projects_only_the_images_it_reads(monkeypatch):
     assert seen == []
 
     # a translation takes images out both ways; the primal prepare projects
-    # the backward ones, once, and never a forward one
+    # the backward ones, each once and in order, and never a forward one
     field = uniform_field(0.6, 0.45)
     op = dcgm_prepare(mesh, field, config, dual=False)
     tp = op.traced
@@ -262,7 +266,25 @@ def test_prepare_projects_only_the_images_it_reads(monkeypatch):
     assert op.projected_fraction == tp.bwd_projected_fraction
     src = (nine_point_rule().points @ mesh._tri_xy).reshape(-1, 2)
     back = characteristics.trace_backward(field, src, config.dt)
-    assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], back[tp.bwd_projected])
-    tp.located("bwd")
-    assert len(seen) == 1
+    assert len(seen) > 1
+    np.testing.assert_array_equal(np.concatenate(seen), back[tp.bwd_projected])
+
+
+def test_prepare_keeps_no_per_point_array():
+    # the traced images are scaffolding for the transport: the build works
+    # through them in blocks, and the operator keeps only their two flag
+    # arrays
+    mesh = build_disk_mesh(400)
+    config = SchemeConfig(nu=1e-3, dt=2.0 * math.pi / 133)
+    tracemalloc.start()
+    try:
+        op = dcgm_prepare(mesh, rotation_field(), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+    assert op.rhs_mat is op.traced.transport
+    arrays = {name: value for name, value in vars(op.traced).items()
+              if isinstance(value, np.ndarray)}
+    assert sorted(arrays) == ["bwd_projected", "fwd_projected"]
+    assert all(a.dtype == bool for a in arrays.values())
