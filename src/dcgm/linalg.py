@@ -159,13 +159,16 @@ def _bfs_levels(nbr: np.ndarray, root: int) -> np.ndarray:
 def _level_order(A: sp.csr_matrix) -> np.ndarray:
     """Breadth-first levels of the graph of A's rows from a pseudo-peripheral
     vertex (George & Liu): start from a least-degree vertex, and restart from
-    a least-degree vertex of the last level while that deepens the levels."""
+    a least-degree vertex of the last level while that deepens the levels.
+    A graph that is not connected raises ``ValueError``."""
     n = A.shape[0]
     degree = np.diff(A.indptr)
     nbr = np.full((n, int(degree.max())), n)
     rows = np.repeat(np.arange(n), degree)
     nbr[rows, np.arange(A.nnz) - A.indptr[rows]] = A.indices
     level = _bfs_levels(nbr, int(np.argmin(degree)))
+    if (level < 0).any():
+        raise ValueError("the graph of the matrix is not connected")
     while True:
         last = np.flatnonzero(level == level.max())
         trial = _bfs_levels(nbr, int(last[np.argmin(degree[last])]))
@@ -181,15 +184,14 @@ class _LevelBlocks:
     A = (I + G) (S + U) with S_0 = D_0, G_j = L_j S_{j-1}^-1 and
     S_j = D_j - G_j U_j.  ``solve`` runs one forward sweep with the G_j and
     one backward sweep with B_j = [S_j^-1 | -S_j^-1 U_{j+1}], each a dense
-    product per level on views of the level-ordered vector.  Blocks are not
+    product per level on views, made once here, of one level-ordered work
+    vector; so a factor serves one solve at a time.  Blocks are not
     pivoted: A should be SPD, or otherwise have nonsingular Schur
     complements S_j.
     """
 
     def __init__(self, A: sp.csr_matrix, level: np.ndarray):
         n = A.shape[0]
-        if (level < 0).any():
-            raise ValueError("the graph of the matrix is not connected")
         coo = A.tocoo()
         li, lj = level[coo.row], level[coo.col]
         if (np.abs(li - lj) > 1).any():
@@ -216,30 +218,31 @@ class _LevelBlocks:
         at = g_start[li] + pi * width[lj] + pj
         np.add.at(g, at[low], coo.data[low])
 
+        self._v = v = np.empty(n)
         self._forward, self._backward = [], []
         for j, (w, wn) in enumerate(zip(width, nxt)):
-            cur = slice(start[j], start[j + 1])
+            cur = v[start[j]:start[j + 1]]
             bj = b[b_start[j]:b_start[j + 1]].reshape(w, w + wn)
             if j:
                 bj[:, :w] += update  # S_j = D_j - G_j U_j
             bj[:, :w] = np.linalg.inv(bj[:, :w])
-            self._backward.append((bj, cur, slice(start[j], start[j + 1] + wn)))
+            self._backward.append((bj, cur, v[start[j]:start[j + 1] + wn]))
             if wn:
                 bj[:, w:] = bj[:, :w] @ bj[:, w:]
                 gn = g[g_start[j + 1]:g_start[j + 2]].reshape(wn, w)
                 prod = gn @ bj  # L_{j+1} B_j = [G_{j+1} | -G_{j+1} U_{j+1}]
                 gn[...] = prod[:, :w]
                 update = prod[:, w:]
-                self._forward.append((gn, cur, slice(start[j + 1], start[j + 2])))
+                self._forward.append((gn, cur, v[start[j + 1]:start[j + 2]]))
         self._backward.reverse()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """A^-1 r, to rounding."""
-        v = r[self.perm]
+        """A^-1 r, to rounding, in a new array; ``r`` is left as it is."""
+        v = np.take(r, self.perm, out=self._v)
         for g, prev, cur in self._forward:
-            v[cur] -= g @ v[prev]
+            cur -= g.dot(prev)
         for b, cur, span in self._backward:
-            v[cur] = b @ v[span]
+            cur[...] = b.dot(span)
         z = np.empty_like(v)
         z[self.perm] = v
         return z

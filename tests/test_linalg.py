@@ -185,6 +185,22 @@ def _rect_or_disk(data):
     return build_disk_mesh(data.draw(st.integers(8, 60), label="N"))
 
 
+def _reference_sweep(blocks, level, r):
+    # the factor's two sweeps on whole-array slices of a fresh level-ordered
+    # copy of r, with the same blocks in the same order
+    perm = np.argsort(level, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    lv = [slice(start[j], start[j + 1]) for j in range(len(start) - 1)]
+    v = r[perm]
+    for j, (g, _, _) in enumerate(blocks._forward):
+        v[lv[j + 1]] -= g @ v[lv[j]]
+    for j, (b, _, _) in zip(reversed(range(len(lv))), blocks._backward):
+        v[lv[j]] = b @ v[lv[j].start:lv[j].stop + b.shape[1] - b.shape[0]]
+    z = np.empty_like(v)
+    z[perm] = v
+    return z
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
        log_s=st.floats(-3.0, 3.0),
@@ -213,9 +229,18 @@ def test_level_blocks_solve_exactly(data, seed, log_s, kind):
             K = assemble_stiffness(mesh)
         A = (assemble_mass(mesh) + 10.0**log_s * K).tocsr()
     b = A @ rng.standard_normal(mesh.nv)
-    blocks = _LevelBlocks(A, _level_order(A))
+    level = _level_order(A)
+    blocks = _LevelBlocks(A, level)
+    b_kept = b.copy()
     x = blocks.solve(b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(b, b_kept)
+    assert np.array_equal(x, _reference_sweep(blocks, level, b))
+    # the factor reuses one work vector; a second solve leaves the first
+    # one's result alone
+    x_kept = x.copy()
+    blocks.solve(rng.standard_normal(mesh.nv))
+    assert np.array_equal(x, x_kept)
     if kind == "nonsymmetric":
         # preconditioned by the factor, BiCGStab stops after one iteration
         x, report = bicgstab_solve(A, b, tol=1e-12, precond=blocks.solve)
@@ -234,6 +259,14 @@ def test_level_blocks_reject_a_coupling_two_levels_apart(build):
     bump = sp.csr_matrix(([1e-3, 1e-3], ([i, j], [j, i])), shape=A.shape)
     with pytest.raises(ValueError, match="more than one level apart"):
         _LevelBlocks((A + bump).tocsr(), level)
+
+
+def test_level_blocks_reject_a_disconnected_graph():
+    # two disjoint 2 x 2 blocks: the breadth-first levels never reach the
+    # second, and the error says so before the blocks are counted
+    A = sp.block_diag([np.array([[2.0, -1.0], [-1.0, 2.0]])] * 2, format="csr")
+    with pytest.raises(ValueError, match="not connected"):
+        _level_blocks(A)
 
 
 def test_level_block_cap():
