@@ -36,6 +36,7 @@ from .linalg import SolutionHistory
 from .mesh import TriMesh, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
 from .schemes import (
+    DcgmOperator,
     SchemeConfig,
     StepDiagnostics,
     centered_prepare,
@@ -198,13 +199,16 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
 
     Every solve of the run starts from the run's recent solutions (one
     :class:`~dcgm.linalg.SolutionHistory` for the run's single matrix).
+    The stability norm reads the characteristic operator's ``lhs``, which is
+    its form; the other schemes get the form assembled here.
 
     ``boundary(x, t)``, when given, supplies the imposed values at the
     boundary vertices ``x`` at each step's end time (Dirichlet steps only).
     """
     mesh = u0.mesh
     rim = None if boundary is None else mesh.vertices[mesh.boundary_vertices]
-    form = stability_form(mesh, config.nu, config.dt)
+    form = (op.lhs if isinstance(op, DcgmOperator)
+            else stability_form(mesh, config.nu, config.dt))
     masses = [integral(u0)]
     norms = [nu_dt_norm(u0, form)]
     diags: list[StepDiagnostics] = []

@@ -120,7 +120,8 @@ def _mass_local(mesh: TriMesh) -> np.ndarray:
 
 def _stiffness_local(mesh: TriMesh) -> np.ndarray:
     g = basis_gradients(mesh)
-    return np.einsum("tid,tjd->tij", g, g) * mesh.areas[:, None, None]
+    dot = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    return dot * mesh.areas[:, None, None]
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
@@ -135,7 +136,8 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
 
 def stability_form(mesh: TriMesh, nu: float, dt: float) -> sp.csr_matrix:
     """M + nu dt K, the matrix of the squared stability norm (see
-    :func:`nu_dt_norm`); build it once per run, not per step."""
+    :func:`nu_dt_norm`) and the left side of the characteristic step; build
+    it once per run, not per step."""
     return assemble_local(mesh, _mass_local(mesh) + (nu * dt) * _stiffness_local(mesh))
 
 

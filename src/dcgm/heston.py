@@ -164,7 +164,7 @@ def assemble_tensor_stiffness(mesh: TriMesh, diffusion,
     d = np.broadcast_to(d, (mesh.nt, len(rule), 2, 2))
     d = np.einsum("q,tqef->tef", rule.weights, d)
     g = basis_gradients(mesh)  # (nt, 3, 2)
-    local = np.einsum("tae,tef,tbf->tab", g, d, g) * mesh.areas[:, None, None]
+    local = (g @ d @ g.transpose(0, 2, 1)) * mesh.areas[:, None, None]
     return assemble_local(mesh, local)
 
 

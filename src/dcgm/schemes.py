@@ -47,6 +47,7 @@ from .fem import (
     assemble_stiffness,
     basis_gradients,
     integral,
+    stability_form,
 )
 from .linalg import (SolutionHistory, SolveReport, _jacobi, bicgstab_solve,
                      cg_solve)
@@ -164,7 +165,9 @@ class LinearStep:
 class DcgmOperator(LinearStep):
     """Characteristic step for a steady field.
 
-    ``lhs`` is the SPD matrix mass + nu dt stiffness.  ``rhs_mat`` is the
+    ``lhs`` is the SPD matrix mass + nu dt stiffness; with the
+    constant-coefficient stiffness it is ``stability_form(mesh, nu, dt)``,
+    the matrix of the run's stability norm too.  ``rhs_mat`` is the
     transport: the conservative forward-image scatter P_fwd^T W P_src when
     ``dual`` is set, the primal backward-image gather P_src^T W P_bwd
     otherwise.  ``traced`` is the record the transport came from: the point
@@ -189,10 +192,12 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
     tp = build_traced_points(mesh, field, rule, config.dt, config.sigma,
                              dual=dual)
     if stiffness is None:
-        stiffness = assemble_stiffness(mesh)
+        lhs = stability_form(mesh, config.nu, config.dt)
+    else:
+        lhs = assemble_mass(mesh) + (config.nu * config.dt) * stiffness
     return DcgmOperator(
         mesh=mesh,
-        lhs=assemble_mass(mesh) + (config.nu * config.dt) * stiffness,
+        lhs=lhs,
         rhs_mat=tp.transport,
         solver_tol=config.solver_tol,
         projected_fraction=(tp.fwd_projected_fraction if dual
@@ -258,28 +263,29 @@ def pcgm_step(op: DcgmOperator, u_prev: FieldP1,
 # Eulerian comparison schemes
 
 
-def _velocity_at_midedges(mesh: TriMesh, field: VelocityField):
+def _streamline_derivatives(mesh: TriMesh, field: VelocityField):
+    """The mid-edge rule and a.grad(phi_j) at its nodes, shape (nt, q, j)."""
     rule = midedge_rule()
     pts = rule.points @ mesh._tri_xy  # (nt, 3, 2)
     ax, ay = field.value(pts[:, :, 0], pts[:, :, 1])
     shape = (mesh.nt, 3)
     ax = np.broadcast_to(np.asarray(ax, dtype=float), shape)
     ay = np.broadcast_to(np.asarray(ay, dtype=float), shape)
-    return rule, ax, ay
-
-
-def _advection_matrices(mesh: TriMesh, field: VelocityField):
-    """Convection matrix C_ij = int (a.grad phi_j) phi_i and streamline
-    matrix S_ij = int (a.grad phi_i)(a.grad phi_j), mid-edge quadrature."""
-    rule, ax, ay = _velocity_at_midedges(mesh, field)
     g = basis_gradients(mesh)  # (nt, 3, 2)
-    # a.grad(phi_j) at each quadrature node: (nt, q, j)
     adg = ax[:, :, None] * g[:, None, :, 0] + ay[:, :, None] * g[:, None, :, 1]
-    w = rule.weights
-    phi = rule.points  # phi_i at node q is points[q, i]
-    local_c = np.einsum("q,qi,tqj->tij", w, phi, adg) * mesh.areas[:, None, None]
-    local_s = np.einsum("q,tqi,tqj->tij", w, adg, adg) * mesh.areas[:, None, None]
-    return assemble_local(mesh, local_c), assemble_local(mesh, local_s)
+    return rule, adg
+
+
+def _convection_matrix(mesh: TriMesh, rule, adg: np.ndarray) -> sp.csr_matrix:
+    """C_ij = int (a.grad phi_j) phi_i; phi_i at node q is rule.points[q, i]."""
+    weighted_phi = rule.weights[:, None] * rule.points  # (q, i)
+    return assemble_local(mesh, (weighted_phi.T @ adg) * mesh.areas[:, None, None])
+
+
+def _streamline_matrix(mesh: TriMesh, rule, adg: np.ndarray) -> sp.csr_matrix:
+    """S_ij = int (a.grad phi_i)(a.grad phi_j)."""
+    local = adg.transpose(0, 2, 1) @ (rule.weights[:, None] * adg)
+    return assemble_local(mesh, local * mesh.areas[:, None, None])
 
 
 def supg_prepare(mesh: TriMesh, field: VelocityField,
@@ -293,7 +299,9 @@ def supg_prepare(mesh: TriMesh, field: VelocityField,
     """
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
-    conv, stream = _advection_matrices(mesh, field)
+    rule, adg = _streamline_derivatives(mesh, field)
+    conv = _convection_matrix(mesh, rule, adg)
+    stream = _streamline_matrix(mesh, rule, adg)
     base = mass + _SUPG_ALPHA * conv.T
     lhs = base + config.dt * (conv + _SUPG_ALPHA * stream
                               + config.nu * stiffness)
@@ -318,7 +326,7 @@ def centered_prepare(mesh: TriMesh, field: VelocityField,
         )
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
-    conv, _ = _advection_matrices(mesh, field)
+    conv = _convection_matrix(mesh, *_streamline_derivatives(mesh, field))
     lhs = mass + config.dt * (conv + config.nu * stiffness)
     return LinearStep(mesh, lhs, mass, config.solver_tol, 0.0)
 

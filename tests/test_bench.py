@@ -9,7 +9,7 @@ from dcgm.bench import (SCHEMES, BellParams, _prepare, bell_at_time,
                         convergence_study, cross_section, discontinuous_test,
                         exact_bell, exact_report, fit_order, run_one_turn,
                         run_one_turn_dirichlet, stability_constant)
-from dcgm.fem import integral, interpolate
+from dcgm.fem import integral, interpolate, nu_dt_norm, stability_form
 from dcgm.mesh import build_disk_mesh
 from dcgm.schemes import SchemeConfig
 
@@ -175,3 +175,16 @@ def test_solution_history_changes_only_rounding():
     assert np.abs(report.final.coeffs - plain.coeffs).max() <= 1e-10 * scale
     assert report.mass_drift <= 1e-10
     assert sum(d.solver.iterations for d in report.diagnostics) < iterations
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_norm_history_reads_the_stability_form(scheme):
+    # the characteristic runs read the norm from their operator's lhs; the
+    # first and last entries match a form assembled apart, bit for bit
+    params = BellParams(n_steps=4)
+    report = run_one_turn(60, scheme, params)
+    mesh = report.final.mesh
+    form = stability_form(mesh, report.nu, report.dt)
+    u0 = interpolate(mesh, bell_at_time(params, 0.0))
+    assert report.norm_history[0] == nu_dt_norm(u0, form)
+    assert report.norm_history[-1] == nu_dt_norm(report.final, form)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcgm.fem import (FieldP1, assemble_mass, assemble_stiffness,
-                      basis_gradients, evaluate, h1_seminorm, integral,
-                      interpolate, l2_error, l2_norm, nu_dt_norm,
-                      stability_form, write_field_csv)
+from dcgm.fem import (FieldP1, _stiffness_local, assemble_mass,
+                      assemble_stiffness, basis_gradients, evaluate,
+                      h1_seminorm, integral, interpolate, l2_error, l2_norm,
+                      nu_dt_norm, stability_form, write_field_csv)
 from dcgm.heston import expectation
 from dcgm.mesh import TriMesh, build_disk_mesh, build_rect_mesh, locate_point
 from dcgm.quadrature import midedge_rule, nine_point_rule
@@ -162,6 +162,16 @@ def test_prepared_functionals_match_direct_sums(case, nu, dt, rule):
             direct += term
             size += abs(term)
     assert abs(expectation(case, f, rule) - direct) <= 1e-13 * size
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=meshes_and_fields())
+def test_stiffness_kernel_matches_einsum(case):
+    # the per-coordinate products sum the same two terms as the contraction
+    mesh = case.mesh
+    g = basis_gradients(mesh)
+    want = np.einsum("tid,tjd->tij", g, g) * mesh.areas[:, None, None]
+    assert np.array_equal(_stiffness_local(mesh), want)
 
 
 def test_l2_error_self_is_zero(unit_square):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from dcgm import linalg
-from dcgm.fem import assemble_mass, assemble_stiffness, interpolate
+from dcgm.fem import (assemble_local, assemble_mass, assemble_stiffness,
+                      basis_gradients, interpolate)
 from dcgm.heston import (HestonParams, TensorField, _boundary_weights,
                          _initial_density, assemble_tensor_stiffness,
                          boundary_mass, expectation,
@@ -138,6 +139,22 @@ def test_tensor_stiffness_quadratic_form(unit_square):
     assert f.coeffs @ (K @ f.coeffs) == pytest.approx(2.0, rel=1e-12)
     ones = np.ones(unit_square.nv)
     assert np.max(np.abs(K @ ones)) < 1e-13
+
+
+def test_tensor_stiffness_matches_einsum():
+    # the batched products g D g^T against the three-operand contraction
+    params = HestonParams()
+    mesh = build_rect_mesh(12, 10, params.x_max, params.y_max)
+    rule = nine_point_rule()
+    diffusion = heston_operator(params).diffusion
+    pts = rule.points @ mesh._tri_xy
+    d = np.einsum("q,tqef->tef", rule.weights,
+                  diffusion(pts[:, :, 0], pts[:, :, 1]))
+    g = basis_gradients(mesh)
+    local = np.einsum("tae,tef,tbf->tab", g, d, g) * mesh.areas[:, None, None]
+    want = assemble_local(mesh, local)
+    got = assemble_tensor_stiffness(mesh, diffusion, rule)
+    assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_price_oracle_tiny_horizon():

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from dcgm import characteristics
 from dcgm.characteristics import rotation_field, uniform_field
-from dcgm.fem import FieldP1, assemble_mass, integral, interpolate
+from dcgm.fem import (FieldP1, assemble_local, assemble_mass,
+                      assemble_stiffness, integral, interpolate,
+                      stability_form)
 from dcgm.heston import HestonParams, heston_operator
 from dcgm.mesh import build_disk_mesh, build_rect_mesh
 from dcgm.quadrature import nine_point_rule
 from dcgm.schemes import (CflWarning, SchemeConfig, StepDiagnostics, StepError,
-                          centered_prepare, centered_step, cfl_dt_guideline,
-                          dcgm_dirichlet_prepare, dcgm_dirichlet_step,
-                          dcgm_prepare, dcgm_step, pcgm_step, supg_prepare,
-                          supg_step)
+                          _convection_matrix, _streamline_derivatives,
+                          _streamline_matrix, centered_prepare, centered_step,
+                          cfl_dt_guideline, dcgm_dirichlet_prepare,
+                          dcgm_dirichlet_step, dcgm_prepare, dcgm_step,
+                          pcgm_step, supg_prepare, supg_step)
 
 
 CFG = SchemeConfig(nu=1e-3, dt=0.05)
@@ -288,3 +291,37 @@ def test_prepare_keeps_no_per_point_array():
               if isinstance(value, np.ndarray)}
     assert sorted(arrays) == ["bwd_projected", "fwd_projected"]
     assert all(a.dtype == bool for a in arrays.values())
+
+
+def same_csr(a, b):
+    """Equal bit for bit: the same sparsity pattern, order and values."""
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rect=st.booleans(), n=st.integers(2, 12), extent=st.floats(0.1, 3.0),
+       nu=st.floats(1e-6, 1.0), dt=st.floats(1e-3, 1.0), dual=st.booleans())
+def test_characteristic_lhs_is_the_stability_form(rect, n, extent, nu, dt, dual):
+    # the step's left side is the run's stability form, so one assembly
+    # serves both; it is M + nu dt K up to the order of the sums
+    mesh = (build_rect_mesh(n, n + 1, extent, 0.7 * extent) if rect
+            else build_disk_mesh(8 + 4 * n))
+    config = SchemeConfig(nu=nu, dt=dt)
+    lhs = dcgm_prepare(mesh, rotation_field(), config, dual=dual).lhs
+    assert same_csr(lhs, stability_form(mesh, nu, dt))
+    summed = assemble_mass(mesh) + (nu * dt) * assemble_stiffness(mesh)
+    assert abs(lhs - summed).max() <= 1e-14 * abs(summed).max()
+
+
+@pytest.mark.parametrize("field", [rotation_field(), uniform_field(0.7, -1.3)])
+def test_advection_kernels_match_einsum(disk100, field):
+    rule, adg = _streamline_derivatives(disk100, field)
+    w, phi = rule.weights, rule.points
+    area = disk100.areas[:, None, None]
+    conv = assemble_local(disk100, np.einsum("q,qi,tqj->tij", w, phi, adg) * area)
+    stream = assemble_local(disk100, np.einsum("q,tqi,tqj->tij", w, adg, adg) * area)
+    for got, want in ((_convection_matrix(disk100, rule, adg), conv),
+                      (_streamline_matrix(disk100, rule, adg), stream)):
+        assert abs(got - want).max() <= 1e-14 * abs(want).max()
