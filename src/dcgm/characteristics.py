@@ -12,13 +12,15 @@ second derivative of the trajectory; for the rigid rotation this makes a
 traced point stay on its circle up to O(dt^4).
 
 :func:`build_traced_points` traces every quadrature node both ways and
-locates each image with one walk, which also flags the images that left the
-mesh.  A scheme reads one direction only: the dual scheme the forward
-images, the primal scheme the backward ones.  For that direction the
-outside images are projected to the boundary and located again, and the
-step's transport matrix is built from the located images.  The images are
-only scaffolding for that matrix: the build runs in blocks of whole
-triangles, and what it keeps is the matrix and the two flag arrays.
+flags the images that left the mesh.  A scheme reads one direction only:
+the dual scheme the forward images, the primal scheme the backward ones.
+That direction's images are located with one walk each, the outside ones
+are projected to the boundary and located again, and the step's transport
+matrix is built from the located images.  The other direction's flags are
+read from the mesh's map of inside and outside grid cells, which walks only
+the images in cells the boundary may cross.  The images are only
+scaffolding for the matrix: the build runs in blocks of whole triangles,
+and what it keeps is the matrix and the two flag arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, locate_point, project_to_domain
+from .mesh import TriMesh, _outside, locate_point, project_to_domain
 from .quadrature import QuadratureRule
 
 # points traced at a time; bounds the (m, 2, 2) Jacobian and its temporaries
@@ -145,14 +147,15 @@ class TracedPoints:
     """The transport of one step and the flags of the images behind it.
 
     There is one point per (triangle, quadrature node), ``n_points`` in all.
-    Both directions are traced and walked; ``*_projected`` flags the images
-    that left the mesh.  ``transport`` is the step's transport matrix, built
-    from the direction the scheme reads: P_fwd^T W P_src for the dual
-    scheme, P_src^T W P_bwd for the primal one.  Row q of P_src holds the
-    barycentric weights of node q in its own triangle, row q of P_fwd or
-    P_bwd those of its image, and W is diagonal with the node weights times
-    the triangle areas.  An image outside the mesh is pulled back by
-    :func:`project_to_domain` and located again first.  Barycentric
+    Both directions are traced, but only the one read is located;
+    ``*_projected`` flags the images that left the mesh, exactly as
+    :func:`locate_point` would.  ``transport`` is the step's transport
+    matrix, built from the direction the scheme reads: P_fwd^T W P_src for
+    the dual scheme, P_src^T W P_bwd for the primal one.  Row q of P_src
+    holds the barycentric weights of node q in its own triangle, row q of
+    P_fwd or P_bwd those of its image, and W is diagonal with the node
+    weights times the triangle areas.  An image outside the mesh is pulled
+    back by :func:`project_to_domain` and located again first.  Barycentric
     coordinates are clamped to [0, 1] and renormalized to sum exactly to
     one, which is what makes the dual transport conserve mass.
     """
@@ -191,12 +194,13 @@ def build_traced_points(
     dual: bool = True,
 ) -> TracedPoints:
     """Trace every quadrature node of every triangle one step both ways,
-    walk each image to its triangle, and build the transport from the
+    flag the images outside the mesh, and build the transport from the
     forward images (``dual``) or the backward ones.
 
-    The walk starts from the mesh's bucket-grid cell of the image, so its
-    cost does not grow with the length of the characteristic.  Only the
-    outside images of the direction read are projected.  The work runs in
+    Each image read is walked to its triangle from the mesh's bucket-grid
+    cell of the image, so the cost does not grow with the length of the
+    characteristic; only its outside images are projected.  The flags of the
+    direction not read come from the mesh's outside test.  The work runs in
     blocks of whole triangles, about ``_BUILD_BLOCK`` points each: a block's
     transport is one sparse product, kept as coordinates, and one sum at the
     end gives the matrix.  Each point is located on its own, so the blocks
@@ -213,11 +217,12 @@ def build_traced_points(
         src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
         for side, trace in (("fwd", trace_forward), ("bwd", trace_backward)):
             images = trace(field, src, dt, sigma)
+            if side != read:
+                projected[side][t0 * nq:t1 * nq] = _outside(mesh, images)
+                continue
             tri, bary = locate_point(mesh, images)
             outside = tri < 0
             projected[side][t0 * nq:t1 * nq] = outside
-            if side != read:
-                continue
             if outside.any():
                 tri2, bary2 = locate_point(
                     mesh, project_to_domain(mesh, images[outside]))

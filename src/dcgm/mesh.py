@@ -2,7 +2,11 @@
 
 Meshes are plain vertex/connectivity arrays plus a few precomputed tables
 (areas, barycentric transforms, edge adjacency, a bucket grid of start
-triangles) used by assembly and by the point-location walk.  Triangles are
+triangles) used by assembly and by the point-location walk.  Each cell of
+the grid also records whether it lies inside the domain, outside it, or may
+be crossed by a free edge, one with a triangle on one side only; a test of
+which points are outside the mesh reads that map and walks only the points
+in crossed cells, with the answer of :func:`locate_point`.  Triangles are
 stored counterclockwise; boundary edges are stored oriented so that the
 domain lies on their left, which makes the outward normal of edge (a, b)
 proportional to (b_y - a_y, a_x - b_x).
@@ -33,6 +37,11 @@ _CENTROIDS_PER_CELL = 2
 # points one pass of locate_point walks at a time; bounds the walk's
 # temporaries, about twenty arrays of this length
 _LOCATE_BLOCK = 8192
+# margin, in cells of the bucket grid, around each free edge (a cell that
+# close may be crossed by the boundary) and around the grid (a point further
+# off is outside); far above the walk's _BARY_TOL slack and the rounding of
+# a cell index
+_CELL_PAD = 1e-3
 
 
 @dataclass(eq=False)
@@ -142,6 +151,7 @@ class TriMesh:
         if self.boundary_edges.size:
             self.is_boundary_vertex[self.boundary_edges.ravel()] = True
         self.convex = self._boundary_is_convex()
+        self._cell_side = self._build_cell_sides()
         self._h_max = None
 
     # ------------------------------------------------------------------
@@ -240,6 +250,36 @@ class TriMesh:
             for near in (old[1:-1, :-2], old[1:-1, 2:], old[:-2, 1:-1], old[2:, 1:-1]):
                 cells = np.where((cells < 0) & (near >= 0), near, cells)
         return cells.ravel()
+
+    def _build_cell_sides(self) -> np.ndarray:
+        """Side of the domain that each cell of the bucket grid lies on: 1
+        inside, -1 outside, 0 where the boundary may cross the cell.
+
+        The boundary is the free edges, those with no triangle across them.
+        A cell is 0 when the bounding box of a free edge, padded by
+        ``_CELL_PAD`` cells, touches it.  Any other cell lies wholly on one
+        side of the boundary, the side of its centre, which one walk finds.
+        """
+        lo, scale, g = self._grid
+        k, j = np.nonzero(self.neighbors < 0)
+        a = self.vertices[self.triangles[k, (j + 1) % 3]]
+        b = self.vertices[self.triangles[k, (j + 2) % 3]]
+        box_lo = (np.minimum(a, b) - lo) * scale - _CELL_PAD
+        box_hi = (np.maximum(a, b) - lo) * scale + _CELL_PAD
+        first = np.clip(np.floor(box_lo), 0, g - 1).astype(np.int64)
+        count = np.clip(np.floor(box_hi), 0, g - 1).astype(np.int64) - first + 1
+        # the cells of each box, row by row
+        size = count[:, 0] * count[:, 1]
+        owner = np.repeat(np.arange(size.size), size)
+        slot = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+        ix = first[owner, 0] + slot % count[owner, 0]
+        iy = first[owner, 1] + slot // count[owner, 0]
+        side = np.ones(g * g, dtype=np.int8)
+        side[iy * g + ix] = 0
+        rest = np.flatnonzero(side)
+        centres = lo + (np.column_stack([rest % g, rest // g]) + 0.5) / scale
+        side[rest[~_found(self, centres)]] = -1
+        return side
 
     def _build_neighbors(self) -> np.ndarray:
         """neighbors[k, j] = triangle across the edge opposite local vertex j.
@@ -358,17 +398,55 @@ def locate_point(mesh: TriMesh, point, hint=None):
     bary = np.empty((pts.shape[0], 3))
     for lo in range(0, pts.shape[0], _LOCATE_BLOCK):
         block = slice(lo, lo + _LOCATE_BLOCK)
-        tri[block], bary[block] = _locate_block(mesh, pts[block])
+        tri[block], bary[block] = _lowest_first(
+            mesh, pts[block], *_walk_block(mesh, pts[block]))
     if single:
         return (int(tri[0]), bary[0]) if tri[0] >= 0 else None
     return tri, bary
 
 
-def _locate_block(mesh: TriMesh, pts: np.ndarray):
-    """:func:`locate_point` on a batch ``pts`` (m, 2)."""
+def _found(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
+    """``locate_point(mesh, pts)[0] >= 0``, without the tie-break."""
+    found = np.empty(pts.shape[0], dtype=bool)
+    for lo in range(0, pts.shape[0], _LOCATE_BLOCK):
+        block = slice(lo, lo + _LOCATE_BLOCK)
+        found[block] = _walk_block(mesh, pts[block])[0] >= 0
+    return found
+
+
+def _outside(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
+    """``locate_point(mesh, pts)[0] < 0``, read from the cell map where it
+    can be.
+
+    A point more than ``_CELL_PAD`` cells off the bucket grid is outside.
+    Any other point takes the side of its cell, or of the nearest cell when
+    it is off the grid; only the points in cells the boundary may cross are
+    walked.  No cell at the edge of the grid is inside the domain.
+    """
+    lo, scale, g = mesh._grid
+    fx = (pts[:, 0] - lo[0]) * scale[0]
+    fy = (pts[:, 1] - lo[1]) * scale[1]
+    # a NaN fails every comparison, so it is outside, as in the walk
+    near = np.flatnonzero((fx >= -_CELL_PAD) & (fx <= g + _CELL_PAD)
+                          & (fy >= -_CELL_PAD) & (fy <= g + _CELL_PAD))
+    side = mesh._cell_side[mesh._cell_of(pts[near, 0], pts[near, 1])]
+    out = np.ones(pts.shape[0], dtype=bool)
+    out[near] = side < 0
+    walk = near[side == 0]
+    out[walk] = ~_found(mesh, pts[walk])
+    return out
+
+
+def _walk_block(mesh: TriMesh, pts: np.ndarray):
+    """A triangle containing each point of ``pts`` (m, 2), -1 when none
+    does, and the point's barycentric coordinates in it, rows l0, l1, l2.
+
+    The edge walk decides; a walk that steps off a non-convex boundary or
+    runs out of rounds falls back to the scan.
+    """
     m = pts.shape[0]
     tri = np.full(m, -1, dtype=np.int64)
-    lam = np.zeros((3, m))  # rows l0, l1, l2
+    lam = np.zeros((3, m))
     x, y = pts[:, 0], pts[:, 1]
     # a non-finite point lies in no triangle and has no grid cell
     active = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
@@ -400,8 +478,17 @@ def _locate_block(mesh: TriMesh, pts: np.ndarray):
         hit = _scan_for_point(mesh, pts[i])
         if hit is not None:
             tri[i], lam[:, i] = hit
-    # several triangles accept a point on or next to an edge: report the
-    # lowest index so the answer does not depend on where the walk came from
+    return tri, lam
+
+
+def _lowest_first(mesh: TriMesh, pts: np.ndarray, tri: np.ndarray,
+                  lam: np.ndarray):
+    """The walk's answer ``(tri, lam)`` for ``pts`` made independent of
+    where it started, as :func:`locate_point` returns it.
+
+    Several triangles accept a point on or next to an edge: the lowest index
+    is reported.  The coordinates are clamped and renormalized.
+    """
     edge = np.flatnonzero((tri >= 0) & (lam.min(axis=0) <= _BARY_TOL))
     if edge.size:
         tri[edge] = _lowest_containing(mesh, pts[edge], tri[edge])
@@ -424,8 +511,7 @@ def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
     single = pts.ndim == 1
     pts = pts.reshape(-1, 2)
     out = pts.copy()
-    tri, _ = locate_point(mesh, pts)
-    outside = np.flatnonzero(tri < 0)
+    outside = np.flatnonzero(_outside(mesh, pts))
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
     b = mesh.vertices[mesh.boundary_edges[:, 1]]
     ab = b - a

@@ -9,10 +9,11 @@ from dcgm.characteristics import (VelocityField, build_traced_points,
                                   rotation_field, trace_backward,
                                   trace_forward, uniform_field)
 from dcgm.fem import assemble_mass
+from dcgm import mesh as mesh_module
 from dcgm.mesh import (build_disk_mesh, build_rect_mesh, locate_point,
                        project_to_domain)
 from dcgm.quadrature import midedge_rule, nine_point_rule
-from test_mesh import l_shaped_mesh
+from test_mesh import l_shaped_mesh, unlabelled
 
 
 def test_rotation_closed_form():
@@ -144,23 +145,43 @@ def _whole_array_transport(mesh, field, rule, dt, dual):
     return transport.tocsr(), flags["fwd"], flags["bwd"]
 
 
-@pytest.mark.parametrize("mesh", [build_disk_mesh(30), l_shaped_mesh(9),
-                                  build_rect_mesh(7, 6, 1.0, 0.8)],
-                         ids=["disk", "l-shape", "rect"])
-def test_located_images_match_locate_project_locate(mesh, monkeypatch):
+def radial_field(rate: float) -> VelocityField:
+    """a(x) = rate x: images move away from the origin for rate > 0 and
+    towards it for rate < 0."""
+    return VelocityField(
+        value=lambda x, y: (rate * np.asarray(x, dtype=float),
+                            rate * np.asarray(y, dtype=float)),
+        jacobian=lambda x, y: np.broadcast_to(rate * np.eye(2), np.shape(x) + (2, 2)))
+
+
+TRANSLATION = (uniform_field(0.6, 0.45),) * 2
+
+
+@pytest.mark.parametrize("mesh, fields, dt", [
+    (build_disk_mesh(30), TRANSLATION, 0.2),
+    (l_shaped_mesh(9), TRANSLATION, 0.2),
+    (build_rect_mesh(7, 6, 1.0, 0.8), TRANSLATION, 0.2),
+    # most images land far past the bucket grid
+    (build_disk_mesh(30), (uniform_field(1.5, 1.2),) * 2, 1.0),
+    # a mesh without labelled boundary edges has nothing to project onto, so
+    # the field keeps the images read inside the disk and takes the others
+    # out: contraction for the dual build, expansion for the primal one
+    (unlabelled(build_disk_mesh(30)), (radial_field(-1.0), radial_field(1.0)), 0.2),
+], ids=["disk", "l-shape", "rect", "far", "unlabelled"])
+def test_located_images_match_locate_project_locate(mesh, fields, dt, monkeypatch):
     # blocks of a few triangles: each point is located on its own, so the
     # blocked build differs from the whole-array one only in the order its
     # transport is summed.  A translation pushes images out on one side
     # going forward and on the other going back; on the L-shape some leave
     # through the notch.
     monkeypatch.setattr(characteristics, "_BUILD_BLOCK", 64)
-    field, dt = uniform_field(0.6, 0.45), 0.2
     for rule in (midedge_rule(), nine_point_rule()):
         assert mesh.nt * len(rule) > 2 * 64
-        for dual in (True, False):
+        for dual, field in zip((True, False), fields):
             tp = build_traced_points(mesh, field, rule, dt, dual=dual)
             want, fwd, bwd = _whole_array_transport(mesh, field, rule, dt, dual)
-            assert fwd.any() and bwd.any()
+            read, unread = (fwd, bwd) if dual else (bwd, fwd)
+            assert unread.any() and read.any() == (mesh.nbe > 0)
             np.testing.assert_array_equal(tp.fwd_projected, fwd)
             np.testing.assert_array_equal(tp.bwd_projected, bwd)
             assert tp.fwd_projected_fraction == np.mean(fwd)
@@ -170,3 +191,35 @@ def test_located_images_match_locate_project_locate(mesh, monkeypatch):
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])
+def test_unread_images_are_walked_only_near_the_boundary(dual, monkeypatch):
+    # the flags of the direction not read come from the cell map: only its
+    # images in cells the boundary may cross reach the walk
+    mesh = build_disk_mesh(60)
+    field, rule, dt = rotation_field(), nine_point_rule(), 2.0 * math.pi / 33
+    walked = []
+    walk = mesh_module._walk_block
+
+    def counted(mesh, pts):
+        walked.append(len(pts))
+        return walk(mesh, pts)
+
+    monkeypatch.setattr(mesh_module, "_walk_block", counted)
+    tp = build_traced_points(mesh, field, rule, dt, dual=dual)
+    n = tp.n_points
+    src = (rule.points @ mesh._tri_xy).reshape(-1, 2)
+    unread = (trace_backward if dual else trace_forward)(field, src, dt)
+    # the cell of each unread image; an image off the grid counts as near
+    lo, scale, g = mesh._grid
+    cell = np.floor((unread - lo) * scale).astype(int)
+    on_grid = np.all((cell >= 0) & (cell < g), axis=1)
+    near = ~on_grid
+    near[on_grid] = mesh._cell_side[cell[on_grid, 1] * g + cell[on_grid, 0]] == 0
+    # the read images are walked once, and the outside ones at most twice
+    # more: in the projection's own outside test and after it
+    outside = int((tp.fwd_projected if dual else tp.bwd_projected).sum())
+    bound = n + 2 * outside + int(near.sum())
+    assert 0 < outside and bound < 2 * n
+    assert sum(walked) <= bound

@@ -374,6 +374,7 @@ def test_save_load_round_trip(tmp_path_factory, disk60, shape):
     assert np.array_equal(again.boundary_labels, mesh.boundary_labels)
     assert np.array_equal(again.neighbors, mesh.neighbors)
     assert again.convex == mesh.convex
+    assert np.array_equal(again._cell_side, mesh._cell_side)
 
 
 def test_load_flips_clockwise(tmp_path):
@@ -468,3 +469,172 @@ def test_neighbor_and_grid_tables(mesh):
     source = home[cells[empty]]
     taken = np.abs(empty % g - source % g) + np.abs(empty // g - source // g)
     assert np.array_equal(taken, steps.min(axis=1))
+
+
+def unlabelled(mesh: TriMesh) -> TriMesh:
+    """``mesh`` rebuilt with no labelled boundary edges: its boundary is
+    known only from the triangles, as the edges with no neighbour."""
+    return TriMesh(mesh.vertices, mesh.triangles, np.zeros((0, 2), dtype=np.int64),
+                   np.zeros(0, dtype=np.int64))
+
+
+def moved(mesh: TriMesh, stretch, shift) -> TriMesh:
+    """``mesh`` stretched along each axis and shifted, which takes its
+    vertices off the round numbers where the grid lines of a unit square
+    fall."""
+    return TriMesh(mesh.vertices * stretch + shift, mesh.triangles,
+                   mesh.boundary_edges, mesh.boundary_labels)
+
+
+def free_edges(mesh: TriMesh):
+    """End points (a, b) of the edges that belong to one triangle, oriented
+    so that the domain lies on their left."""
+    k, j = np.nonzero(edge_dictionary_neighbors(mesh) < 0)
+    return (mesh.vertices[mesh.triangles[k, (j + 1) % 3]],
+            mesh.vertices[mesh.triangles[k, (j + 2) % 3]])
+
+
+def segments_meet_boxes(a, b, low, high):
+    """[i, c] is True when the closed segment a[i] b[i] meets the closed box
+    low[c] .. high[c] (Liang-Barsky clipping)."""
+    enter = np.zeros((len(a), len(low)))
+    leave = np.ones((len(a), len(low)))
+    for axis in (0, 1):
+        start, step = a[:, axis, None], (b - a)[:, axis, None]
+        lo, hi = low[None, :, axis], high[None, :, axis]
+        flat = step == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_lo, t_hi = (lo - start) / step, (hi - start) / step
+        first = np.where(flat, np.where((lo <= start) & (start <= hi), 0.0, 2.0),
+                         np.minimum(t_lo, t_hi))
+        last = np.where(flat, 1.0, np.maximum(t_lo, t_hi))
+        enter, leave = np.maximum(enter, first), np.minimum(leave, last)
+    return enter <= leave
+
+
+def cell_boxes(mesh: TriMesh, cells: np.ndarray):
+    """Lower and upper corners of bucket-grid cells."""
+    lo, scale, g = mesh._grid
+    index = np.column_stack([cells % g, cells // g])
+    return lo + index / scale, lo + (index + 1) / scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(
+    st.builds(build_rect_mesh, st.integers(2, 12), st.integers(2, 12),
+              st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    st.builds(build_disk_mesh, st.integers(8, 120)),
+    st.builds(unlabelled, st.builds(build_disk_mesh, st.integers(8, 120))),
+    st.builds(moved, st.builds(l_shaped_mesh, st.integers(2, 12)),
+              st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)).map(np.array),
+              st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array))))
+def test_cell_map_sides(mesh):
+    lo, scale, g = mesh._grid
+    side = mesh._cell_side
+    assert side.shape == (g * g,) and set(np.unique(side)) <= {-1, 0, 1}
+    # no free edge meets a cell said to be inside or outside
+    sided = np.flatnonzero(side != 0)
+    low, high = cell_boxes(mesh, sided)
+    assert not segments_meet_boxes(*free_edges(mesh), low, high).any()
+    # so each such cell lies wholly on its side: its corners are located there
+    for cells, inside in ((sided[side[sided] > 0], True),
+                          (sided[side[sided] < 0], False)):
+        low, high = cell_boxes(mesh, cells)
+        for x, y in ((low, low), (low, high), (high, low), (high, high)):
+            corners = np.column_stack([x[:, 0], y[:, 1]])
+            assert np.all((locate_point(mesh, corners)[0] >= 0) == inside)
+
+
+OUTSIDE_MESHES = {"rect": build_rect_mesh(7, 5, 2.0, 1.0), "disk": build_disk_mesh(40),
+                  "l-shape": l_shaped_mesh(9),
+                  "moved l-shape": moved(l_shaped_mesh(11), [0.3, 0.7], [0.1, -0.2]),
+                  "unlabelled": unlabelled(build_disk_mesh(40))}
+# distances off a free edge along its outward normal: under, near and over
+# the location slack
+NORMAL_OFFSETS = (0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-9, -1e-9)
+
+
+def near_boundary_points(mesh: TriMesh, t, offsets):
+    """Points a fraction ``t`` along each free edge, moved by each of
+    ``offsets`` along the edge's outward normal."""
+    a, b = free_edges(mesh)
+    d = b - a
+    outward = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return np.concatenate([a + s * d + off * outward for s in t for off in offsets])
+
+
+def grid_points(mesh: TriMesh, u):
+    """Points on the lines of the bucket grid: its cell corners (u = 0) and
+    points a fraction ``u`` of a cell along every line."""
+    lo, scale, g = mesh._grid
+    i = np.arange(g + 1)
+    x = lo[0] + np.add.outer(i, [0.0, u]).ravel() / scale[0]
+    y = lo[1] + np.add.outer(i, [0.0, u]).ravel() / scale[1]
+    return np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
+
+
+def box_points(mesh: TriMesh, off, along):
+    """Points ``off`` cells outside the grid's box (inside it when
+    negative), a fraction ``along`` of the way along each of its sides."""
+    lo, scale, g = mesh._grid
+    off, along = np.broadcast_arrays(np.asarray(off, dtype=float)[:, None],
+                                     g * np.asarray(along, dtype=float)[None, :])
+    off, along = off.ravel(), along.ravel()
+    cells = np.concatenate([np.column_stack(p) for p in (
+        (-off, along), (g + off, along), (along, -off), (along, g + off))])
+    return lo + cells / scale
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_MESHES))
+def test_outside_test_matches_locate_everywhere(name):
+    mesh = OUTSIDE_MESHES[name]
+    pad = mesh_module._CELL_PAD
+    pts = np.vstack([
+        near_boundary_points(mesh, np.linspace(0.0, 1.0, 7), NORMAL_OFFSETS),
+        mesh.vertices, grid_points(mesh, 0.37),
+        box_points(mesh, [-2 * pad, -pad / 2, 0.0, pad / 2, 2 * pad],
+                   np.linspace(0.0, 1.0, 13)),
+        [[1e6, 0.0], [-1e300, 1e300], [np.nan, 0.0], [0.0, np.inf],
+         [-np.inf, np.nan]]])
+    np.testing.assert_array_equal(mesh_module._outside(mesh, pts),
+                                  locate_point(mesh, pts)[0] < 0)
+
+
+@st.composite
+def outside_probes(draw):
+    """A mesh and points on and next to its free edges, at its vertices, on
+    the lines of its bucket grid and next to its box, far off, and not
+    finite."""
+    mesh = OUTSIDE_MESHES[draw(st.sampled_from(sorted(OUTSIDE_MESHES)))]
+    pad = mesh_module._CELL_PAD
+    unit = st.floats(0.0, 1.0)
+    pick = lambda pts: pts[draw(st.integers(0, len(pts) - 1))]  # noqa: E731
+    pts = []
+    for kind in draw(st.lists(st.sampled_from(["free edge", "vertex", "grid", "box",
+                                               "far", "not finite"]),
+                              min_size=1, max_size=16)):
+        if kind == "free edge":
+            pts.append(pick(near_boundary_points(
+                mesh, [draw(unit)], [draw(st.sampled_from(NORMAL_OFFSETS))])))
+        elif kind == "vertex":
+            pts.append(pick(mesh.vertices))
+        elif kind == "grid":
+            pts.append(pick(grid_points(mesh, draw(unit))))
+        elif kind == "box":
+            off = draw(st.sampled_from([0.0, pad / 2, -pad / 2, 2 * pad, 1.0]))
+            pts.append(pick(box_points(mesh, [off], [draw(unit)])))
+        elif kind == "far":
+            pts.append([draw(st.floats(-1e300, 1e300)), draw(st.floats(-1e300, 1e300))])
+        else:
+            special = st.sampled_from([np.nan, np.inf, -np.inf])
+            pts.append(draw(st.permutations(
+                [draw(special), draw(st.one_of(special, st.floats(-2.0, 2.0)))])))
+    return mesh, np.array(pts, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(probe=outside_probes())
+def test_outside_test_matches_locate(probe):
+    mesh, pts = probe
+    np.testing.assert_array_equal(mesh_module._outside(mesh, pts),
+                                  locate_point(mesh, pts)[0] < 0)
