@@ -265,11 +265,12 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
 
     ``on_step(step_index, field)`` is called after every step when given.
     Every step solves the same matrix, so the run factors it once in
-    breadth-first levels (:func:`~dcgm.linalg._level_blocks`) and each CG
-    solve, preconditioned with the exact factor, takes one iteration.  A
-    grid too large for the factor keeps Jacobi CG started from one
-    :class:`~dcgm.linalg.SolutionHistory`: the best combination of the
-    run's recent solutions.
+    breadth-first levels (:func:`~dcgm.linalg._level_blocks`) and sets it as
+    the operator's ``factor``: each step starts from the factor's solution,
+    and CG confirms it with 0 iterations.  A grid too large for the factor,
+    or a matrix whose factor fails its probe solve, keeps Jacobi CG started
+    from one :class:`~dcgm.linalg.SolutionHistory`: the best combination of
+    the run's recent solutions.
     """
     if n_steps < 1:
         raise ValueError("need at least one time step")
@@ -280,14 +281,14 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=1e-12)
     stiffness = assemble_tensor_stiffness(mesh, tensor.diffusion, rule)
     op = dcgm_prepare(mesh, tensor.drift, config, stiffness=stiffness)
-    blocks = _level_blocks(op.lhs)
+    blocks = _level_blocks(op.lhs, config.solver_tol)
     if blocks is not None:
-        op.precond = blocks.solve
+        op.factor = blocks.solve
     put_weights = expectation_weights(mesh, put_payoff(params.strike), rule)
     leak_weights = _boundary_weights(mesh)
 
     u = _initial_density(mesh, params)
-    history = SolutionHistory() if blocks is None else None
+    history = SolutionHistory()  # read only without a factor
     steps: list[HestonStep] = []
     warned_neg = warned_leak = False
     for k in range(1, n_steps + 1):

@@ -1,5 +1,5 @@
 """Preconditioned Krylov solvers on scipy CSR matrices, and an exact
-level-block solve to precondition them with.
+level-block solve to start and precondition them with.
 
 The loops are written out here so the stopping rule is explicit and shared:
 one driver owns validation, warm start, restarts and the report, and both
@@ -8,17 +8,20 @@ recurrence residual alone.  The preconditioner is Jacobi, ``r / diag(A)``,
 unless the caller passes another.
 
 A run that solves one matrix against a sequence of right-hand sides passes
-either a :class:`SolutionHistory` or an exact preconditioner.  With a
-history each solve starts from the combination of the run's recent
-solutions whose residual is smallest (Fischer's projection, CMAME 163,
-1998), and each converged solution joins the history.  With the solve of
-:func:`_level_blocks`, a block LU factorization of A in the breadth-first
-level order of its graph (George & Liu, *Computer Solution of Large Sparse
-Positive Definite Systems*, 1981), either solver stops after one iteration.
+either a :class:`SolutionHistory` or starts each solve from an exact
+factor's solution.  With a history each solve starts from the combination
+of the run's recent solutions whose residual is smallest (Fischer's
+projection, CMAME 163, 1998), and each converged solution joins the
+history.  :func:`_level_blocks` factors A block by block in the
+breadth-first level order of its graph (George & Liu, *Computer Solution of
+Large Sparse Positive Definite Systems*, 1981); a solve started from the
+factor's solution meets the tolerance with 0 iterations, and one that does
+not runs a Krylov pass preconditioned with the factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,13 +251,24 @@ class _LevelBlocks:
         return z
 
 
-def _level_blocks(A: sp.csr_matrix) -> _LevelBlocks | None:
+def _level_blocks(A: sp.csr_matrix, tol: float) -> _LevelBlocks | None:
     """The level-block factor of A, or None when its blocks would hold more
-    than ``_LEVEL_BLOCK_CAP`` entries (sum of squared level widths)."""
+    than ``_LEVEL_BLOCK_CAP`` entries (sum of squared level widths), when a
+    Schur complement is singular, or when one probe solve misses a relative
+    residual of ``tol / 10``: the blocks are not pivoted, so a matrix that
+    is not SPD can break them down without any error."""
     level = _level_order(A)
     if np.sum(np.bincount(level) ** 2) > _LEVEL_BLOCK_CAP:
         return None
-    return _LevelBlocks(A, level)
+    try:
+        blocks = _LevelBlocks(A, level)
+    except np.linalg.LinAlgError:
+        return None
+    b = A @ np.random.default_rng(0).standard_normal(A.shape[0])
+    miss = np.linalg.norm(b - A @ blocks.solve(b))
+    if not miss <= 0.1 * tol * np.linalg.norm(b):
+        return None
+    return blocks
 
 
 def _jacobi(A: sp.csr_matrix):
@@ -319,9 +333,11 @@ def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
 
 def _cg_sweep(A, x, r, precond, target, budget):
     """Preconditioned CG recurrence; breaks on nonpositive curvature (the
-    matrix is not SPD)."""
+    matrix is not SPD).  Updates x and r in place, with p and one product
+    in work vectors made once per pass."""
     z = precond(r)
-    p = z
+    p = z.copy()
+    work = np.empty_like(r)
     rz = float(r @ z)
     it = 0
     while it < budget:
@@ -330,24 +346,27 @@ def _cg_sweep(A, x, r, precond, target, budget):
         if pAp <= 0.0:
             return it, True
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(Ap, alpha, out=Ap)
         it += 1
-        if float(np.linalg.norm(r)) <= target:
+        if math.sqrt(r.dot(r)) <= target:
             break
         z = precond(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        np.add(z, np.multiply(p, rz_new / rz, out=p), out=p)
         rz = rz_new
     return it, False
 
 
 def _bicgstab_sweep(A, x, r, precond, target, budget):
     """Right-preconditioned BiCGStab recurrence; breaks when rho, omega or a
-    denominator vanishes."""
-    r_hat = r
+    denominator vanishes.  Updates x and r in place, with p and s in work
+    vectors made once per pass."""
+    r_hat = r.copy()
     rho = alpha = omega = 1.0
-    v = p = np.zeros_like(r)
+    p = np.zeros_like(r)
+    v = np.zeros_like(r)
+    s = np.empty_like(r)
     it = 0
     while it < budget:
         rho_new = float(r_hat @ r)
@@ -355,17 +374,18 @@ def _bicgstab_sweep(A, x, r, precond, target, budget):
             return it, True
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        p = r + beta * (p - omega * v)
+        p -= np.multiply(v, omega, out=s)
+        np.add(r, np.multiply(p, beta, out=p), out=p)
         ph = precond(p)
         v = A @ ph
         denom = float(r_hat @ v)
         if denom == 0.0:
             return it, True
         alpha = rho / denom
-        s = r - alpha * v
+        np.subtract(r, np.multiply(v, alpha, out=s), out=s)
         it += 1
-        if float(np.linalg.norm(s)) <= target:
-            x += alpha * ph
+        if math.sqrt(s.dot(s)) <= target:
+            x += np.multiply(ph, alpha, out=s)
             break
         sh = precond(s)
         t = A @ sh
@@ -373,9 +393,11 @@ def _bicgstab_sweep(A, x, r, precond, target, budget):
         if tt == 0.0:
             return it, True
         omega = float(t @ s) / tt
-        x += alpha * ph + omega * sh
-        r = s - omega * t
-        if float(np.linalg.norm(r)) <= target:
+        # r first: then t and s are free to hold the update of x
+        np.subtract(s, np.multiply(t, omega, out=t), out=r)
+        x += np.add(np.multiply(ph, alpha, out=t),
+                    np.multiply(sh, omega, out=s), out=t)
+        if math.sqrt(r.dot(r)) <= target:
             break
     return it, False
 

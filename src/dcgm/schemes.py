@@ -13,9 +13,10 @@ pure map whose solve starts from u_prev; a run loop that creates one
 :class:`~dcgm.linalg.SolutionHistory` and passes it to each of its steps
 starts every solve from the best combination of the run's recent solutions
 instead, which saves most of the Krylov iterations.  An operator whose
-``precond`` is an exact solve with ``lhs`` (``heston_run`` sets one) needs
-no history: each solve takes one iteration.  The schemes differ in the
-transport matrix ``rhs_mat``:
+``factor`` is an exact solve with ``lhs`` (``heston_run`` sets one) needs
+no history: each solve starts from the factor's solution, which meets the
+tolerance with 0 iterations.  The schemes differ in the transport matrix
+``rhs_mat``:
 
 * dual characteristic scheme: test functions are pushed forward along the
   flow, rhs_mat = P_fwd^T W P_src.  Row q of P_src holds the barycentric
@@ -144,9 +145,11 @@ class LinearStep:
 
     ``projected_fraction`` is the share of traced points that left the
     domain and were projected back (0 for the Eulerian schemes, which trace
-    none).  ``precond(r)`` approximates lhs^-1 r and preconditions every
-    solve; when none is given it is Jacobi, r / diag(lhs), with the
-    diagonal taken once here.
+    none).  ``factor(r)``, when set, is an exact solve lhs^-1 r: each step
+    starts from ``factor(rhs)`` and keeps no history, and the factor
+    preconditions the Krylov pass that runs only when that start misses the
+    tolerance.  Without a factor every solve is preconditioned with Jacobi,
+    r / diag(lhs), with the diagonal taken once here.
     """
 
     mesh: TriMesh
@@ -154,11 +157,10 @@ class LinearStep:
     rhs_mat: sp.csr_matrix
     solver_tol: float
     projected_fraction: float
-    precond: Callable | None = field(default=None, kw_only=True)
+    factor: Callable | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.precond is None:
-            self.precond = _jacobi(self.lhs)
+        self._jacobi = _jacobi(self.lhs)
 
 
 @dataclass(eq=False)
@@ -209,7 +211,8 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
 
 def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
              history: SolutionHistory | None, g=None):
-    """Solve ``op.lhs x = op.rhs_mat @ u_prev`` warm-started from u_prev, or
+    """Solve ``op.lhs x = op.rhs_mat @ u_prev`` started from ``op.factor``'s
+    solution when the operator has one, else warm-started from u_prev, or
     from ``history`` once it holds a solution; returns the new field and its
     diagnostics.
 
@@ -224,8 +227,11 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
     if g is not None:
         rhs = rhs - op.coupling @ g[op.boundary]
         x0 = x0[op.interior]
+    precond = op._jacobi
+    if op.factor is not None:
+        x0, history, precond = op.factor(rhs), None, op.factor
     x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0, history=history,
-                      precond=op.precond)
+                      precond=precond)
     if not report.converged:
         raise StepError(f"{label} step solve failed", report)
     if g is not None:

@@ -4,6 +4,7 @@ The drift rewrite is checked against a finite-difference expansion of the raw
 second-order form, so any error in the divergence bookkeeping shows up as an
 O(1) residual instead of an O(grid^2) one.
 """
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from dcgm.heston import (HestonParams, TensorField, _boundary_weights,
                          put_payoff, put_price)
 from dcgm.mesh import build_disk_mesh, build_rect_mesh
 from dcgm.quadrature import nine_point_rule
+from dcgm.linalg import cg_solve
 from dcgm.schemes import SchemeConfig, dcgm_prepare, dcgm_step
 from scipy.stats import norm
 
@@ -176,32 +178,86 @@ def test_mass_and_conservation_short_run():
     assert np.max(np.abs(masses - 1.0)) <= 1e-8
 
 
-def test_factored_run_matches_jacobi_steps():
-    # heston_run preconditions every CG solve with the exact level-block
-    # factor; the same steps with Jacobi CG on the unfactored operator agree
-    # to well within the solver tolerance
-    params = HestonParams(T=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u, steps, _ = heston_run(params, 30, 30, 40)
-    mesh = u.mesh
-    config = SchemeConfig(nu=1.0, dt=params.T / 40, solver_tol=1e-12)
+def _desk_operator(params, n, n_steps):
+    # the operator heston_run builds, without its factor
+    mesh = build_rect_mesh(n, n, params.x_max, params.y_max)
+    config = SchemeConfig(nu=1.0, dt=params.T / n_steps, solver_tol=1e-12)
     stiffness = assemble_tensor_stiffness(
         mesh, heston_operator(params).diffusion, nine_point_rule())
-    op = dcgm_prepare(mesh, heston_operator(params).drift, config,
-                      stiffness=stiffness)
-    # without a factor the operator keeps the Jacobi preconditioner
-    r = np.linspace(1.0, 2.0, mesh.nv)
-    np.testing.assert_array_equal(op.precond(r), r / op.lhs.diagonal())
-    plain = _initial_density(mesh, params)
+    return dcgm_prepare(mesh, heston_operator(params).drift, config,
+                        stiffness=stiffness)
+
+
+def test_factored_run_matches_jacobi_steps():
+    # heston_run starts every step from the exact level-block factor's
+    # solution, which CG accepts with 0 iterations; the same steps with
+    # Jacobi CG on the unfactored operator agree to well within the solver
+    # tolerance
+    params = HestonParams(T=1.0)
+    fields = [_initial_density(build_rect_mesh(30, 30, params.x_max,
+                                               params.y_max), params)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        u, steps, _ = heston_run(params, 30, 30, 40,
+                                 on_step=lambda k, f: fields.append(f))
+    op = _desk_operator(params, 30, 40)
+    assert op.factor is None
+    plain = _initial_density(op.mesh, params)
+    # without a factor the step's solve is Jacobi CG started from u_prev
+    rhs = op.rhs_mat @ plain.coeffs
+    x, report = cg_solve(op.lhs, rhs, tol=1e-12, x0=plain.coeffs)
+    first, diag = dcgm_step(op, plain)
+    np.testing.assert_array_equal(first.coeffs, x)
+    assert diag.solver == report
     for _ in range(40):
         plain, diag = dcgm_step(op, plain)
         assert diag.solver.iterations > 1
     scale = np.abs(plain.coeffs).max()
     assert np.abs(u.coeffs - plain.coeffs).max() <= 1e-10 * scale
-    assert all(s.diag.solver.iterations == 1 for s in steps)
+    for prev, s in zip(fields, steps):
+        assert s.diag.solver.converged and s.diag.solver.iterations == 0
+        rhs = op.rhs_mat @ prev.coeffs
+        assert s.diag.solver.residual <= 1e-12 * np.linalg.norm(rhs)
     masses = np.array([s.diag.mass for s in steps])
     assert np.max(np.abs(masses - 1.0)) <= 1e-8
+
+
+def test_inexact_factor_falls_back_to_a_krylov_pass():
+    # a factor whose solution misses the tolerance is only a start: CG,
+    # preconditioned with it, runs until the true residual meets the
+    # tolerance, to the same field as the exact factor's steps
+    params = HestonParams(T=1.0)
+    exact = _desk_operator(params, 20, 10)
+    blocks = linalg._level_blocks(exact.lhs, exact.solver_tol)
+    exact.factor = blocks.solve
+    inexact = dataclasses.replace(
+        exact, factor=lambda r: (1 + 1e-6) * blocks.solve(r))
+    u = v = _initial_density(exact.mesh, params)
+    for _ in range(10):
+        u, diag = dcgm_step(exact, u)
+        assert diag.solver.iterations == 0
+        tol = 1e-12 * np.linalg.norm(inexact.rhs_mat @ v.coeffs)
+        v, diag = dcgm_step(inexact, v)
+        assert diag.solver.start_residual > tol >= diag.solver.residual
+        assert diag.solver.iterations >= 1
+    scale = np.abs(u.coeffs).max()
+    assert np.abs(u.coeffs - v.coeffs).max() <= 1e-10 * scale
+
+
+def test_failed_factor_check_keeps_jacobi(monkeypatch):
+    # a factor that fails its probe solve is not used: heston_run keeps
+    # Jacobi CG from the run's solution history, to the same field
+    params = HestonParams(T=1.0)
+    solve = linalg._LevelBlocks.solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        factored, _, _ = heston_run(params, 20, 20, 10)
+        monkeypatch.setattr(linalg._LevelBlocks, "solve",
+                            lambda self, r: (1 + 1e-6) * solve(self, r))
+        u, steps, _ = heston_run(params, 20, 20, 10)
+    assert all(s.diag.solver.iterations > 1 for s in steps)
+    scale = np.abs(u.coeffs).max()
+    assert np.abs(u.coeffs - factored.coeffs).max() <= 1e-10 * scale
 
 
 def test_grid_over_the_cap_keeps_jacobi(monkeypatch):

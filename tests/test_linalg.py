@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcgm import linalg
 from dcgm.fem import assemble_mass, assemble_stiffness
 from dcgm.heston import assemble_tensor_stiffness
 from dcgm.linalg import (_LEVEL_BLOCK_CAP, SolutionHistory, _level_blocks,
@@ -106,6 +107,97 @@ def dominant_system(seed: int, n: int, symmetric: bool) -> sp.csr_matrix:
     return (off + sp.diags(dominance)).tocsr()
 
 
+# the sweeps update their vectors in place; these are the same recurrences
+# written with a new array per operation, in the same operation order
+
+
+def _textbook_cg(A, x, r, precond, target, budget):
+    z = precond(r)
+    p = z
+    rz = float(r @ z)
+    it = 0
+    while it < budget:
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            return it, True
+        alpha = rz / pAp
+        x += alpha * p
+        r = r - alpha * Ap
+        it += 1
+        if float(np.linalg.norm(r)) <= target:
+            break
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return it, False
+
+
+def _textbook_bicgstab(A, x, r, precond, target, budget):
+    r_hat = r
+    rho = alpha = omega = 1.0
+    v = p = np.zeros_like(r)
+    it = 0
+    while it < budget:
+        rho_new = float(r_hat @ r)
+        if rho_new == 0.0 or omega == 0.0:
+            return it, True
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        ph = precond(p)
+        v = A @ ph
+        denom = float(r_hat @ v)
+        if denom == 0.0:
+            return it, True
+        alpha = rho / denom
+        s = r - alpha * v
+        it += 1
+        if float(np.linalg.norm(s)) <= target:
+            x += alpha * ph
+            break
+        sh = precond(s)
+        t = A @ sh
+        tt = float(t @ t)
+        if tt == 0.0:
+            return it, True
+        omega = float(t @ s) / tt
+        x += alpha * ph + omega * sh
+        r = s - omega * t
+        if float(np.linalg.norm(r)) <= target:
+            break
+    return it, False
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweeps_match_the_textbook_recurrences(disk60, seed):
+    # bit for bit, across restarts: the same iterate, residual and count
+    rng = np.random.default_rng(seed)
+    spd = (assemble_mass(disk60) + 0.1 * assemble_stiffness(disk60)).tocsr()
+    general = dominant_system(seed, 300, symmetric=False)
+    for A, sweep, textbook in ((spd, linalg._cg_sweep, _textbook_cg),
+                               (general, linalg._bicgstab_sweep,
+                                _textbook_bicgstab)):
+        b = rng.standard_normal(A.shape[0])
+        x, report = linalg._solve(A, b, 1e-13, None, sweep, None, None)
+        y, expected = linalg._solve(A, b, 1e-13, None, textbook, None, None)
+        assert report.iterations > 1
+        assert np.array_equal(x, y) and report == expected
+
+
+def test_sweeps_allow_a_preconditioner_that_returns_its_input(disk60):
+    # the identity returns the residual itself; the work vectors must not
+    # share memory with it, so the solve is that of an identity that copies
+    A = (assemble_mass(disk60) + 0.1 * assemble_stiffness(disk60)).tocsr()
+    b = A @ np.random.default_rng(3).standard_normal(disk60.nv)
+    for solve in (cg_solve, bicgstab_solve):
+        x, report = solve(A, b, tol=1e-12, precond=lambda r: r)
+        y, expected = solve(A, b, tol=1e-12, precond=lambda r: r.copy())
+        assert report.converged and report == expected
+        assert np.array_equal(x, y)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
        symmetric=st.booleans(), n_rhs=st.integers(1, 40),
@@ -173,7 +265,8 @@ def test_non_finite_rhs_fails_at_once(disk60):
 
 
 # the level-block factor: an exact solve with a P1 matrix in the
-# breadth-first level order of its graph, used as the preconditioner
+# breadth-first level order of its graph, used as the start and the
+# preconditioner
 
 
 def _rect_or_disk(data):
@@ -266,7 +359,7 @@ def test_level_blocks_reject_a_disconnected_graph():
     # second, and the error says so before the blocks are counted
     A = sp.block_diag([np.array([[2.0, -1.0], [-1.0, 2.0]])] * 2, format="csr")
     with pytest.raises(ValueError, match="not connected"):
-        _level_blocks(A)
+        _level_blocks(A, 1e-12)
 
 
 def test_level_block_cap():
@@ -277,14 +370,31 @@ def test_level_block_cap():
 
     assert block_entries(build_rect_mesh(60, 60, 200.0, 2.0)) <= _LEVEL_BLOCK_CAP
     assert block_entries(build_disk_mesh(400)) > _LEVEL_BLOCK_CAP
-    assert _level_blocks(assemble_mass(build_disk_mesh(400))) is None
+    assert _level_blocks(assemble_mass(build_disk_mesh(400)), 1e-12) is None
+
+
+@pytest.mark.parametrize("dense", [
+    [[0.0, 1.0], [1.0, 1.0]],  # zero first block
+    [[2.0, 1.0, 0.0], [1.0, 0.5, 1.0], [0.0, 1.0, 2.0]],  # S_1 = 0
+    [[1e-17, 1.0], [1.0, 1.0]],  # tiny pivot: solves with residual ~ ||b||
+], ids=["zero-block", "singular-schur", "tiny-pivot"])
+def test_level_blocks_refuse_a_breakdown(dense):
+    # the blocks are not pivoted: a singular Schur complement raises inside
+    # the factorization, and a tiny pivot factors silently but fails the
+    # probe solve; either way there is no factor, and its caller keeps Jacobi
+    A = sp.csr_matrix(np.array(dense))
+    assert _level_blocks(A, 1e-12) is None
+    # the same check lets a well-posed matrix of the same pattern through
+    A = sp.csr_matrix(np.array(dense) + 4.0 * np.eye(len(dense)))
+    assert _level_blocks(A, 1e-12) is not None
 
 
 def test_exact_preconditioner_takes_one_iteration(disk60):
     # with the factor as preconditioner both solvers stop after one
-    # iteration, and the report carries the true residual
+    # iteration, and the report carries the true residual; started from the
+    # factor's solution they stop before the first
     A = (assemble_mass(disk60) + 0.1 * assemble_stiffness(disk60)).tocsr()
-    blocks = _level_blocks(A)
+    blocks = _level_blocks(A, 1e-12)
     b = A @ np.random.default_rng(5).standard_normal(disk60.nv)
     for solve in (cg_solve, bicgstab_solve):
         x, report = solve(A, b, tol=1e-12, precond=blocks.solve)
@@ -292,3 +402,8 @@ def test_exact_preconditioner_takes_one_iteration(disk60):
         assert report.iterations == 1
         assert report.residual == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
         assert report.residual <= 1e-12 * np.linalg.norm(b)
+        x0 = blocks.solve(b)
+        x, report = solve(A, b, tol=1e-12, x0=x0, precond=blocks.solve)
+        assert report.converged and report.iterations == 0
+        assert np.array_equal(x, x0)
+        assert report.residual == report.start_residual
