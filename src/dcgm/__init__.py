@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .bench import (
     BellParams,
     RunReport,
-    boundary_crossing_test,
     compare_schemes,
     convergence_study,
     cross_section,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "fit_order",
     "compare_schemes",
     "discontinuous_test",
-    "boundary_crossing_test",
     "cross_section",
     "stability_constant",
     "SCHEMES",
@@ -72,28 +71,43 @@ __all__ = [
 SCHEMES = ("dcgm", "pcgm", "supg", "centered")
 # final time of every bell run: one full turn of the rotation
 T = 2.0 * math.pi
+_SCHEME_DEFAULT = {f.name: f.default for f in fields(SchemeConfig)}
 
 
 @dataclass(frozen=True)
 class BellParams:
-    """Rotating-bell experiment parameters; every run lasts one turn, ``T``.
+    """Everything one rotating-bell run reads; every run lasts one turn,
+    ``T``, in steps of dt = T / n_steps.
 
     ``n_steps=None`` derives the step count from the mesh size as N // 3,
-    which pairs the meshes 100/200/400 with 33/66/133 steps.
+    which pairs the meshes 100/200/400 with 33/66/133 steps.  ``sigma``,
+    ``quadrature`` and ``solver_tol`` are the :class:`SchemeConfig` fields
+    of the same names, with the same defaults.
     """
 
     x0: tuple[float, float] = (0.35, 0.0)
     r: float = 20.0
     nu: float = 1e-3
     n_steps: int | None = None
+    sigma: float = _SCHEME_DEFAULT["sigma"]
+    quadrature: str = _SCHEME_DEFAULT["quadrature"]
+    solver_tol: float = _SCHEME_DEFAULT["solver_tol"]
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise ValueError("r must be > 0")
-        if not self.nu > 0.0:
-            raise ValueError("nu must be > 0")
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.shape != (2,) or not np.isfinite(x0).all():
+            raise ValueError("x0 must be a finite (x, y) pair")
+        if not (np.isfinite(self.r) and self.r > 0.0):
+            raise ValueError("r must be finite and > 0")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        _config(self, 1)  # SchemeConfig checks nu and the numerics
+
+
+def _config(params: BellParams, n_steps: int) -> SchemeConfig:
+    """The scheme parameters of a bell run of ``n_steps`` steps per turn."""
+    return SchemeConfig(nu=params.nu, dt=T / n_steps, sigma=params.sigma,
+                        quadrature=params.quadrature, solver_tol=params.solver_tol)
 
 
 def bell_center(params: BellParams, t: float) -> np.ndarray:
@@ -162,19 +176,6 @@ class RunReport:
 def _n_steps(params: BellParams, N: int) -> int:
     """Steps per turn: ``params.n_steps``, or N // 3 when unset."""
     return params.n_steps if params.n_steps is not None else max(1, N // 3)
-
-
-def _resolve_config(params: BellParams, n_steps: int,
-                    config: SchemeConfig | None) -> SchemeConfig:
-    """``config`` with dt = T / n_steps, whatever its own dt; its nu must be
-    ``params.nu``."""
-    dt = T / n_steps
-    if config is None:
-        return SchemeConfig(nu=params.nu, dt=dt)
-    if config.nu != params.nu:
-        raise ValueError(f"the scheme config has nu = {config.nu!r} but the "
-                         f"bell parameters have nu = {params.nu!r}")
-    return replace(config, dt=dt)
 
 
 def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
@@ -250,13 +251,13 @@ def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
     )
 
 
-def _turn(N: int, scheme: str, params: BellParams, config: SchemeConfig | None,
-          initial, exact, boundary=None) -> RunReport:
+def _turn(N: int, scheme: str, params: BellParams, initial, exact,
+          boundary=None) -> RunReport:
     """One turn of ``scheme`` on the disk with ``N`` boundary vertices from
     the interpolant of ``initial(x, y)``; the error is measured against
     ``exact(x, y)`` and ``boundary`` is as in :func:`_run_steps`."""
     n_steps = _n_steps(params, N)
-    config = _resolve_config(params, n_steps, config)
+    config = _config(params, n_steps)
     mesh = build_disk_mesh(N)
     u0 = interpolate(mesh, initial)
     start = time.perf_counter()
@@ -266,18 +267,11 @@ def _turn(N: int, scheme: str, params: BellParams, config: SchemeConfig | None,
     return _report(scheme, N, mesh, config, n_steps, run, exact, wall)
 
 
-def run_one_turn(N: int, scheme: str, params: BellParams | None = None,
-                 config: SchemeConfig | None = None) -> RunReport:
-    """One full rotation of the bell on the disk mesh with ``N`` boundary
-    vertices.
-
-    ``params`` fixes the physics (center, sharpness, nu, step count);
-    ``config`` contributes the tracer order, quadrature and solver
-    tolerance.  Its nu must equal ``params.nu`` (ValueError otherwise), and
-    dt always comes from T / n_steps, whatever ``config.dt`` says.
-    """
+def run_one_turn(N: int, scheme: str, params: BellParams | None = None) -> RunReport:
+    """One full rotation of the bell fixed by ``params`` on the disk mesh
+    with ``N`` boundary vertices."""
     params = params or BellParams()
-    return _turn(N, scheme.lower(), params, config, bell_at_time(params, 0.0),
+    return _turn(N, scheme.lower(), params, bell_at_time(params, 0.0),
                  bell_at_time(params, T))
 
 
@@ -286,7 +280,7 @@ def exact_report(N: int, params: BellParams | None = None) -> RunReport:
     the final time; its error column is the interpolation floor."""
     params = params or BellParams()
     n_steps = _n_steps(params, N)
-    config = _resolve_config(params, n_steps, None)
+    config = _config(params, n_steps)
     mesh = build_disk_mesh(N)
     exact = bell_at_time(params, T)
     u = interpolate(mesh, exact)
@@ -303,69 +297,57 @@ def fit_order(h_values, errors) -> float:
     return float(slope)
 
 
-def convergence_study(scheme: str, sizes, params: BellParams | None = None,
-                      config: SchemeConfig | None = None):
-    """Run the bell on a sweep of mesh sizes; returns (reports, fitted order).
+def convergence_study(scheme: str, sizes, params: BellParams | None = None):
+    """Run the bell of ``params`` on a sweep of mesh sizes; returns
+    (reports, fitted order).
 
     Needs at least three sizes for a meaningful slope.
     """
     sizes = list(sizes)
     if len(sizes) < 3:
         raise ValueError("need at least 3 mesh sizes to fit an order")
-    reports = [run_one_turn(N, scheme, params, config) for N in sizes]
+    reports = [run_one_turn(N, scheme, params) for N in sizes]
     order = fit_order([r.h_max for r in reports], [r.l2_err for r in reports])
     return reports, order
 
 
-def compare_schemes(N: int = 200, params: BellParams | None = None,
-                    config: SchemeConfig | None = None) -> list[RunReport]:
+def compare_schemes(N: int = 200, params: BellParams | None = None) -> list[RunReport]:
     """All four schemes on one mesh plus the interpolated-exact reference
     row, every row on the same step count, which is what the frozen
     comparison targets assume (refining the centered step mostly removes its
     temporal smearing and makes that row look better, not worse)."""
     params = params or BellParams()
-    out = [run_one_turn(N, scheme, params, config) for scheme in SCHEMES]
+    out = [run_one_turn(N, scheme, params) for scheme in SCHEMES]
     out.append(exact_report(N, params))
     return out
 
 
-def discontinuous_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:
+def discontinuous_test(N: int = 200, params: BellParams | None = None) -> RunReport:
     """One conservative characteristic turn from the indicator of the disk
-    (x - 0.3)^2 + y^2 < 0.15, with nu = 1e-3 unless ``config`` sets it; dt
-    is T / n_steps, as in :func:`run_one_turn`.
+    (x - 0.3)^2 + y^2 < 0.15.  ``params`` gives nu, the step count and the
+    numerics; the datum is the indicator, so its ``x0`` and ``r`` go unread.
 
     There is no closed form with diffusion, so the error column measures the
     distance to the initial interpolant after the full turn (transport alone
     would reproduce it exactly).
     """
-    params = BellParams() if config is None else BellParams(nu=config.nu)
-
     def indicator(x, y):
         return ((np.asarray(x) - 0.3) ** 2 + np.asarray(y) ** 2 < 0.15).astype(float)
 
-    return _turn(N, "dcgm", params, config, indicator, indicator)
+    return _turn(N, "dcgm", params or BellParams(), indicator, indicator)
 
 
-def run_one_turn_dirichlet(N: int, params: BellParams | None = None,
-                           config: SchemeConfig | None = None) -> RunReport:
+def run_one_turn_dirichlet(N: int, params: BellParams | None = None) -> RunReport:
     """Bell turn with the experimental strongly-imposed boundary variant.
 
     Boundary vertices are pinned to the closed-form solution at each step's
     final time, and the system matrix carries the boundary-flux correction.
-    ``params`` and ``config`` are as in :func:`run_one_turn`.
+    ``params`` is as in :func:`run_one_turn`.
     """
     params = params or BellParams()
-    return _turn(N, "dcgm-dirichlet", params, config, bell_at_time(params, 0.0),
+    return _turn(N, "dcgm-dirichlet", params, bell_at_time(params, 0.0),
                  bell_at_time(params, T),
                  boundary=lambda x, t: exact_bell(params, x, t))
-
-
-def boundary_crossing_test(N: int = 200, config: SchemeConfig | None = None) -> RunReport:
-    """Bell started at (0.5, 0): its support reaches the boundary during the
-    turn, exercising the projection of traced points.  nu is 1e-3 unless
-    ``config`` sets it; dt is T / n_steps, as in :func:`run_one_turn`."""
-    nu = 1e-3 if config is None else config.nu
-    return run_one_turn(N, "dcgm", BellParams(x0=(0.5, 0.0), nu=nu), config)
 
 
 def cross_section(field: FieldP1):

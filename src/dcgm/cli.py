@@ -31,7 +31,7 @@ from .bench import (
 from .fem import write_field_csv
 from .heston import HestonParams, heston_run
 from .mesh import build_disk_mesh, build_rect_mesh, save_mesh
-from .schemes import SchemeConfig, StepDiagnostics
+from .schemes import StepDiagnostics
 
 TABLE_HEADER = "scheme,N,vertices,n_steps,min,max,integral,l2_error"
 
@@ -91,29 +91,21 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _scheme_values(args: argparse.Namespace) -> dict:
+    """The :class:`BellParams` values of the flags :func:`_add_scheme_flags`
+    adds."""
+    return dict(nu=args.nu, sigma=args.sigma, quadrature=args.quadrature,
+                solver_tol=args.solver_tol)
+
+
 def _bell_params(args: argparse.Namespace) -> BellParams:
-    return BellParams(
-        x0=(args.x0[0], args.x0[1]),
-        r=args.r,
-        nu=args.nu,
-        n_steps=args.steps,
-    )
-
-
-def _scheme_config(args: argparse.Namespace) -> SchemeConfig:
-    # dt is a placeholder: every bell run steps with dt = T / n_steps.  nu
-    # is the same --nu that BellParams gets, as the bench requires
-    return SchemeConfig(
-        nu=args.nu,
-        dt=1.0,
-        sigma=args.sigma,
-        quadrature=args.quadrature,
-        solver_tol=args.solver_tol,
-    )
+    return BellParams(x0=(args.x0[0], args.x0[1]), r=args.r, n_steps=args.steps,
+                      **_scheme_values(args))
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
-    """The flags :func:`_scheme_config` reads; every bell-type run has them."""
+    """Diffusion and numerics flags; every bell-type run has them, and
+    :func:`_scheme_values` hands them to :class:`BellParams`."""
     p.add_argument("--nu", type=float, default=1e-3, help="diffusion coefficient")
     p.add_argument("--sigma", type=int, default=1, choices=(0, 1),
                    help="tracer order switch")
@@ -206,13 +198,12 @@ def cmd_mesh(args, out: Path) -> dict:
 
 def cmd_bell(args, out: Path) -> dict:
     params = _bell_params(args)
-    config = _scheme_config(args)
     rows = [TABLE_HEADER]
     for n in args.N:
         if args.dirichlet:
-            report = run_one_turn_dirichlet(n, params, config)
+            report = run_one_turn_dirichlet(n, params)
         else:
-            report = run_one_turn(n, args.scheme, params, config)
+            report = run_one_turn(n, args.scheme, params)
         _print_row(report)
         rows.append(_table_row(report))
         if report.diagnostics:
@@ -223,9 +214,7 @@ def cmd_bell(args, out: Path) -> dict:
 
 
 def cmd_compare(args, out: Path) -> dict:
-    params = _bell_params(args)
-    config = _scheme_config(args)
-    reports = compare_schemes(args.N, params, config)
+    reports = compare_schemes(args.N, _bell_params(args))
     rows = [TABLE_HEADER]
     for report in reports:
         _print_row(report)
@@ -240,9 +229,7 @@ def cmd_compare(args, out: Path) -> dict:
 
 
 def cmd_convergence(args, out: Path) -> dict:
-    params = _bell_params(args)
-    config = _scheme_config(args)
-    reports, order = convergence_study(args.scheme, args.N, params, config)
+    reports, order = convergence_study(args.scheme, args.N, _bell_params(args))
     rows = ["N,vertices,h_max,l2_error,fitted_order"]
     for r in reports:
         _print_row(r)
@@ -256,7 +243,7 @@ def cmd_convergence(args, out: Path) -> dict:
 
 
 def cmd_discont(args, out: Path) -> dict:
-    report = discontinuous_test(args.N, _scheme_config(args))
+    report = discontinuous_test(args.N, BellParams(**_scheme_values(args)))
     _print_row(report)
     _write_diag_csv(out / "discont_diag.csv", report)
     write_field_csv(report.final, out / f"discont{args.N}.csv")

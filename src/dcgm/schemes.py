@@ -84,8 +84,9 @@ class SchemeConfig:
     """Scalar parameters shared by the schemes.
 
     ``sigma`` switches the characteristic tracer between first order (0) and
-    second order (1).  ``nu`` must be strictly positive: the pure-advection
-    limit is outside what these schemes are built for.
+    second order (1).  ``nu``, ``dt`` and ``solver_tol`` must be finite and
+    strictly positive; nu = 0, the pure-advection limit, is outside what
+    these schemes are built for.
     """
 
     nu: float
@@ -95,10 +96,10 @@ class SchemeConfig:
     solver_tol: float = 1e-13
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError("nu must be > 0")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
+        for name in ("nu", "dt", "solver_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
         rule_by_name(self.quadrature)  # fail at construction, not mid-run

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from dcgm.bench import (SCHEMES, BellParams, _prepare, bell_at_time,
-                        bell_center, boundary_crossing_test, compare_schemes,
-                        convergence_study, cross_section, discontinuous_test,
-                        exact_bell, exact_report, fit_order, run_one_turn,
+from dcgm.bench import (SCHEMES, BellParams, T, _prepare, bell_at_time,
+                        bell_center, compare_schemes, convergence_study,
+                        cross_section, discontinuous_test, exact_bell,
+                        exact_report, fit_order, run_one_turn,
                         run_one_turn_dirichlet, stability_constant)
+from dcgm.characteristics import rotation_field
 from dcgm.fem import integral, interpolate, nu_dt_norm, stability_form
+from dcgm.linalg import SolutionHistory
 from dcgm.mesh import build_disk_mesh
-from dcgm.schemes import SchemeConfig
+from dcgm.schemes import SchemeConfig, dcgm_prepare, pcgm_step
 
 
 def test_scheme_names():
@@ -28,6 +30,32 @@ def test_params_validation():
         with pytest.raises(ValueError, match="n_steps"):
             BellParams(n_steps=bad)
     assert BellParams(n_steps=1).n_steps == 1
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SchemeConfig(nu=1e-3, dt=1.0, solver_tol=-1.0), "solver_tol"),
+    (lambda: SchemeConfig(nu=1e-3, dt=1.0, solver_tol=NAN), "solver_tol"),
+    (lambda: SchemeConfig(nu=INF, dt=1.0), "nu"),
+    (lambda: SchemeConfig(nu=1e-3, dt=INF), "dt"),
+    (lambda: SchemeConfig(nu=1e-3, dt=NAN), "dt"),
+    (lambda: BellParams(x0=(NAN, 0.0)), "x0"),
+    (lambda: BellParams(x0=(0.1, INF)), "x0"),
+    (lambda: BellParams(x0=(0.1, 0.2, 0.3)), "x0"),
+    (lambda: BellParams(x0=0.35), "x0"),
+    (lambda: BellParams(r=INF), "r"),
+    (lambda: BellParams(nu=INF), "nu"),
+    (lambda: BellParams(solver_tol=-1.0), "solver_tol"),
+    (lambda: BellParams(sigma=2), "sigma"),
+    (lambda: BellParams(quadrature="gauss97"), "quadrature"),
+])
+def test_bad_numbers_fail_at_construction(make, field):
+    # a value no run can use is refused when the record is built, naming
+    # its field, not in the middle of a run
+    with pytest.raises(ValueError, match=rf"^(unknown )?{field}\b"):
+        make()
 
 
 def test_bell_center_rotates():
@@ -113,28 +141,34 @@ def test_discontinuous_bounds():
     assert r.initial_mass == pytest.approx(math.pi * 0.15, rel=0.05)
 
 
-def test_config_nu_must_match_the_bell():
-    # a run has one nu: a config that disagrees with the bell parameters
-    # is refused before any work, naming both values
-    config = SchemeConfig(nu=1e-2, dt=1.0)
-    with pytest.raises(ValueError, match=r"0\.01.*0\.001"):
-        run_one_turn(40, "dcgm", BellParams(), config)
-    with pytest.raises(ValueError, match="nu"):
-        run_one_turn_dirichlet(40, BellParams(), config)
-
-
-def test_config_nu_sets_the_fixed_start_runs():
-    config = SchemeConfig(nu=1e-2, dt=1.0)
-    crossing = boundary_crossing_test(40, config)
-    assert crossing.nu == 1e-2
+def test_params_nu_sets_the_discontinuous_run():
+    r = discontinuous_test(40, BellParams(nu=1e-2))
+    assert r.nu == 1e-2
     # dt always comes from one turn over the step count, 40 // 3 = 13 here
-    assert crossing.dt == 2.0 * math.pi / 13
-    assert discontinuous_test(40, config).nu == 1e-2
+    assert r.dt == 2.0 * math.pi / 13
+
+
+def test_numerics_reach_the_run():
+    # sigma and quadrature of the bell parameters are the ones the scheme
+    # steps with: the same steps run by hand match bit for bit
+    params = BellParams(n_steps=4, sigma=0, quadrature="midedge")
+    report = run_one_turn(40, "pcgm", params)
+    mesh = report.final.mesh
+    config = SchemeConfig(params.nu, T / 4, sigma=0, quadrature="midedge")
+    op = dcgm_prepare(mesh, rotation_field(), config, dual=False)
+    u, history = interpolate(mesh, bell_at_time(params, 0.0)), SolutionHistory()
+    for _ in range(4):
+        u, _diag = pcgm_step(op, u, history)
+    assert np.array_equal(report.final.coeffs, u.coeffs)
+    default = run_one_turn(40, "pcgm", BellParams(n_steps=4))
+    assert not np.array_equal(default.final.coeffs, u.coeffs)
 
 
 def test_boundary_crossing_bounds():
+    # started at (0.5, 0), the bell's support reaches the boundary during
+    # the turn, exercising the projection of traced points
     base = run_one_turn(100, "dcgm", BellParams())
-    r = boundary_crossing_test(100)
+    r = run_one_turn(100, "dcgm", BellParams(x0=(0.5, 0.0)))
     assert r.l2_err <= 3.0 * base.l2_err
     assert r.min_value >= -1e-4
 

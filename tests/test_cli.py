@@ -3,7 +3,8 @@ import warnings
 
 import pytest
 
-from dcgm.cli import build_parser, main
+from dcgm.bench import BellParams, run_one_turn
+from dcgm.cli import _table_row, build_parser, main
 
 
 def run_cli(args):
@@ -86,6 +87,26 @@ def test_discont_nu_reaches_the_solve(tmp_path):
         assert run_cli(["--out", str(out)] + DETERMINISM_RUNS["discont"] + extra) == 0
         diags.append((out / "discont_diag.csv").read_bytes())
     assert diags[0] != diags[1]
+
+
+def test_bell_numerics_reach_the_run(tmp_path):
+    rows = []
+    for extra in ([], ["--sigma", "0", "--quadrature", "midedge",
+                       "--solver-tol", "1e-10"]):
+        out = tmp_path / f"b{len(extra)}"
+        assert run_cli(["--out", str(out), "bell", "--N", "40"] + extra) == 0
+        rows.append((out / "table1.csv").read_text().splitlines()[1])
+    params = BellParams(sigma=0, quadrature="midedge", solver_tol=1e-10)
+    assert rows[1] == _table_row(run_one_turn(40, "dcgm", params))
+    assert rows[1] != rows[0]
+
+
+def test_bell_rejects_a_negative_tolerance(tmp_path, capsys):
+    out = tmp_path / "tol"
+    code = run_cli(["--out", str(out), "bell", "--N", "40", "--solver-tol", "-1"])
+    assert code == 1
+    assert "solver_tol" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_compare_subcommand(tmp_path):
