@@ -36,7 +36,6 @@ from .linalg import SolutionHistory
 from .mesh import TriMesh, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
 from .schemes import (
-    DcgmOperator,
     SchemeConfig,
     StepDiagnostics,
     centered_prepare,
@@ -99,8 +98,9 @@ class BellParams:
             raise ValueError("x0 must be a finite (x, y) pair")
         if not (np.isfinite(self.r) and self.r > 0.0):
             raise ValueError("r must be finite and > 0")
-        if self.n_steps is not None and self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        if self.n_steps is not None and not (
+                isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise ValueError("n_steps must be a whole number >= 1")
         _config(self, 1)  # SchemeConfig checks nu and the numerics
 
 
@@ -199,19 +199,16 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
     """Advance ``n_steps`` steps; returns final field, histories, diagnostics.
 
     Every solve of the run starts from the run's recent solutions (one
-    :class:`~dcgm.linalg.SolutionHistory` for the run's single matrix).
-    The stability norm reads the characteristic operator's ``lhs``, which is
-    its form; the other schemes get the form assembled here.
+    :class:`~dcgm.linalg.SolutionHistory` for the run's single matrix), and
+    the stability norm reads the operator's ``form``.
 
     ``boundary(x, t)``, when given, supplies the imposed values at the
     boundary vertices ``x`` at each step's end time (Dirichlet steps only).
     """
     mesh = u0.mesh
     rim = None if boundary is None else mesh.vertices[mesh.boundary_vertices]
-    form = (op.lhs if isinstance(op, DcgmOperator)
-            else stability_form(mesh, config.nu, config.dt))
     masses = [integral(u0)]
-    norms = [nu_dt_norm(u0, form)]
+    norms = [nu_dt_norm(u0, op.form)]
     diags: list[StepDiagnostics] = []
     history = SolutionHistory()
     u = u0
@@ -221,7 +218,7 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
         u, diag = step(op=op, u_prev=u, history=history, **extra)
         diags.append(diag)
         masses.append(diag.mass)
-        norms.append(nu_dt_norm(u, form))
+        norms.append(nu_dt_norm(u, op.form))
     return u, np.array(masses), np.array(norms), diags
 
 

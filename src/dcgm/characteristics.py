@@ -165,14 +165,6 @@ class TracedPoints:
     bwd_projected: np.ndarray
     transport: sp.csr_matrix
 
-    @property
-    def fwd_projected_fraction(self) -> float:
-        return float(np.mean(self.fwd_projected))
-
-    @property
-    def bwd_projected_fraction(self) -> float:
-        return float(np.mean(self.bwd_projected))
-
 
 def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
                           bary: np.ndarray) -> sp.csr_matrix:

@@ -28,7 +28,8 @@ tolerance with 0 iterations.  The schemes differ in the transport matrix
   backward image of each quadrature node, rhs_mat = P_src^T W P_bwd
   (accurate, not conservative).
 * streamline-upwind and centered Galerkin: Eulerian schemes, assembled here
-  with velocity terms integrated by the mid-edge rule.
+  with velocity terms integrated by the mid-edge rule; centered is
+  streamline-upwind with a streamline weight of 0.
 """
 
 from __future__ import annotations
@@ -144,18 +145,22 @@ class StepDiagnostics:
 class LinearStep:
     """One step ``lhs u^n = rhs_mat u^{n-1}``, fixed at prepare time.
 
-    ``projected_fraction`` is the share of traced points that left the
-    domain and were projected back (0 for the Eulerian schemes, which trace
-    none).  ``factor(r)``, when set, is an exact solve lhs^-1 r: each step
-    starts from ``factor(rhs)`` and keeps no history, and the factor
-    preconditions the Krylov pass that runs only when that start misses the
-    tolerance.  Without a factor every solve is preconditioned with Jacobi,
-    r / diag(lhs), with the diagonal taken once here.
+    ``form`` is the matrix of the run's stability norm, M + nu dt K (see
+    :func:`~dcgm.fem.nu_dt_norm`), built by the prepare from what it
+    assembles anyway.  ``projected_fraction`` is the share of traced points
+    that left the domain and were projected back (0 for the Eulerian
+    schemes, which trace none).  ``factor(r)``, when set, is an exact solve
+    lhs^-1 r: each step starts from ``factor(rhs)`` and keeps no history,
+    and the factor preconditions the Krylov pass that runs only when that
+    start misses the tolerance.  Without a factor every solve is
+    preconditioned with Jacobi, r / diag(lhs), with the diagonal taken once
+    here.
     """
 
     mesh: TriMesh
     lhs: sp.csr_matrix
     rhs_mat: sp.csr_matrix
+    form: sp.csr_matrix
     solver_tol: float
     projected_fraction: float
     factor: Callable | None = field(default=None, kw_only=True)
@@ -168,9 +173,9 @@ class LinearStep:
 class DcgmOperator(LinearStep):
     """Characteristic step for a steady field.
 
-    ``lhs`` is the SPD matrix mass + nu dt stiffness; with the
-    constant-coefficient stiffness it is ``stability_form(mesh, nu, dt)``,
-    the matrix of the run's stability norm too.  ``rhs_mat`` is the
+    ``lhs`` is the SPD matrix mass + nu dt stiffness, and ``form`` is that
+    same object; with the constant-coefficient stiffness it is
+    ``stability_form(mesh, nu, dt)``.  ``rhs_mat`` is the
     transport: the conservative forward-image scatter P_fwd^T W P_src when
     ``dual`` is set, the primal backward-image gather P_src^T W P_bwd
     otherwise.  ``traced`` is the record the transport came from: the point
@@ -202,9 +207,10 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
         mesh=mesh,
         lhs=lhs,
         rhs_mat=tp.transport,
+        form=lhs,
         solver_tol=config.solver_tol,
-        projected_fraction=(tp.fwd_projected_fraction if dual
-                            else tp.bwd_projected_fraction),
+        projected_fraction=float(np.mean(tp.fwd_projected if dual
+                                         else tp.bwd_projected)),
         traced=tp,
         dual=dual,
     )
@@ -295,29 +301,36 @@ def _streamline_matrix(mesh: TriMesh, rule, adg: np.ndarray) -> sp.csr_matrix:
     return assemble_local(mesh, local * mesh.areas[:, None, None])
 
 
-def supg_prepare(mesh: TriMesh, field: VelocityField,
-                 config: SchemeConfig) -> LinearStep:
-    """Streamline-upwind system: test functions w + alpha a.grad w,
-    alpha = 0.3.
+def _eulerian_prepare(mesh: TriMesh, field: VelocityField,
+                      config: SchemeConfig, alpha: float) -> LinearStep:
+    """Galerkin system with test functions w + alpha a.grad w.
 
     In time-step-scaled form the matrices are
         lhs = M + alpha C^T + dt (C + alpha S + nu K)
         rhs = M + alpha C^T
+    and the stability form is M + nu dt K.
     """
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
     rule, adg = _streamline_derivatives(mesh, field)
     conv = _convection_matrix(mesh, rule, adg)
     stream = _streamline_matrix(mesh, rule, adg)
-    base = mass + _SUPG_ALPHA * conv.T
-    lhs = base + config.dt * (conv + _SUPG_ALPHA * stream
-                              + config.nu * stiffness)
-    return LinearStep(mesh, lhs, base, config.solver_tol, 0.0)
+    base = mass + alpha * conv.T
+    lhs = base + config.dt * (conv + alpha * stream + config.nu * stiffness)
+    form = mass + (config.nu * config.dt) * stiffness
+    return LinearStep(mesh, lhs, base, form, config.solver_tol, 0.0)
+
+
+def supg_prepare(mesh: TriMesh, field: VelocityField,
+                 config: SchemeConfig) -> LinearStep:
+    """Streamline-upwind system: the Eulerian system with alpha = 0.3."""
+    return _eulerian_prepare(mesh, field, config, _SUPG_ALPHA)
 
 
 def centered_prepare(mesh: TriMesh, field: VelocityField,
                      config: SchemeConfig) -> LinearStep:
-    """Plain centered-convection system: lhs = M + dt (C + nu K), rhs = M.
+    """Plain centered-convection system, the streamline-upwind one with
+    alpha = 0: lhs = M + dt (C + nu K), rhs = M.
 
     Warns when dt exceeds the accuracy guideline h^2 / (2 nu): the implicit
     step stays solvable but the convective error dominates, which is why the
@@ -331,11 +344,7 @@ def centered_prepare(mesh: TriMesh, field: VelocityField,
             CflWarning,
             stacklevel=2,
         )
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    conv = _convection_matrix(mesh, *_streamline_derivatives(mesh, field))
-    lhs = mass + config.dt * (conv + config.nu * stiffness)
-    return LinearStep(mesh, lhs, mass, config.solver_tol, 0.0)
+    return _eulerian_prepare(mesh, field, config, 0.0)
 
 
 def cfl_dt_guideline(mesh: TriMesh, nu: float) -> float:
@@ -423,6 +432,7 @@ def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
         mesh=mesh,
         lhs=rows[:, interior],
         rhs_mat=op.rhs_mat[interior],
+        form=op.lhs,
         solver_tol=config.solver_tol,
         projected_fraction=op.projected_fraction,
         coupling=rows[:, boundary],

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dcgm import bench
 from dcgm.bench import (SCHEMES, BellParams, T, _prepare, bell_at_time,
                         bell_center, compare_schemes, convergence_study,
                         cross_section, discontinuous_test, exact_bell,
@@ -30,6 +31,7 @@ def test_params_validation():
         with pytest.raises(ValueError, match="n_steps"):
             BellParams(n_steps=bad)
     assert BellParams(n_steps=1).n_steps == 1
+    assert BellParams(n_steps=np.int64(4)).n_steps == 4
 
 
 NAN, INF = float("nan"), float("inf")
@@ -50,6 +52,8 @@ NAN, INF = float("nan"), float("inf")
     (lambda: BellParams(solver_tol=-1.0), "solver_tol"),
     (lambda: BellParams(sigma=2), "sigma"),
     (lambda: BellParams(quadrature="gauss97"), "quadrature"),
+    (lambda: BellParams(n_steps=2.5), "n_steps"),
+    (lambda: BellParams(n_steps=3.0), "n_steps"),
 ])
 def test_bad_numbers_fail_at_construction(make, field):
     # a value no run can use is refused when the record is built, naming
@@ -222,3 +226,15 @@ def test_norm_history_reads_the_stability_form(scheme):
     u0 = interpolate(mesh, bell_at_time(params, 0.0))
     assert report.norm_history[0] == nu_dt_norm(u0, form)
     assert report.norm_history[-1] == nu_dt_norm(report.final, form)
+
+
+def test_runs_assemble_no_stability_form(monkeypatch):
+    # every prepare hands its run the stability form, so no run builds one
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run assembled its stability form")
+
+    monkeypatch.setattr(bench, "stability_form", refuse)
+    params = BellParams(n_steps=4)
+    for scheme in SCHEMES:
+        run_one_turn(60, scheme, params)
+    run_one_turn_dirichlet(60, params)

@@ -266,7 +266,7 @@ def test_prepare_projects_only_the_images_it_reads(monkeypatch):
     op = dcgm_prepare(mesh, field, config, dual=False)
     tp = op.traced
     assert tp.fwd_projected.any() and tp.bwd_projected.any()
-    assert op.projected_fraction == tp.bwd_projected_fraction
+    assert op.projected_fraction == np.mean(tp.bwd_projected)
     src = (nine_point_rule().points @ mesh._tri_xy).reshape(-1, 2)
     back = characteristics.trace_backward(field, src, config.dt)
     assert len(seen) > 1
@@ -300,19 +300,43 @@ def same_csr(a, b):
             and np.array_equal(a.data, b.data))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(rect=st.booleans(), n=st.integers(2, 12), extent=st.floats(0.1, 3.0),
-       nu=st.floats(1e-6, 1.0), dt=st.floats(1e-3, 1.0), dual=st.booleans())
-def test_characteristic_lhs_is_the_stability_form(rect, n, extent, nu, dt, dual):
-    # the step's left side is the run's stability form, so one assembly
-    # serves both; it is M + nu dt K up to the order of the sums
+       nu=st.floats(1e-6, 1.0), dt=st.floats(1e-3, 1.0),
+       scheme=st.sampled_from(sorted(STEPPERS)))
+def test_characteristic_lhs_is_the_stability_form(rect, n, extent, nu, dt,
+                                                  scheme):
+    # every prepare hands its run the stability form M + nu dt K: the
+    # characteristic left side is that form, so one assembly serves both,
+    # and the Eulerian prepares sum it from the M and K they assemble
     mesh = (build_rect_mesh(n, n + 1, extent, 0.7 * extent) if rect
             else build_disk_mesh(8 + 4 * n))
-    config = SchemeConfig(nu=nu, dt=dt)
-    lhs = dcgm_prepare(mesh, rotation_field(), config, dual=dual).lhs
-    assert same_csr(lhs, stability_form(mesh, nu, dt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        op = STEPPERS[scheme][0](mesh, rotation_field(), SchemeConfig(nu=nu, dt=dt))
+    form = stability_form(mesh, nu, dt)
     summed = assemble_mass(mesh) + (nu * dt) * assemble_stiffness(mesh)
-    assert abs(lhs - summed).max() <= 1e-14 * abs(summed).max()
+    if scheme in ("supg", "centered"):
+        assert same_csr(op.form, summed)
+    else:
+        assert same_csr(op.form, form)
+    if scheme in ("dcgm", "pcgm"):
+        assert op.form is op.lhs
+    assert abs(op.form - form).max() <= 1e-14 * abs(form).max()
+    assert abs(op.form - summed).max() <= 1e-14 * abs(summed).max()
+
+
+@pytest.mark.parametrize("field", [rotation_field(), uniform_field(0.7, -1.3)])
+def test_centered_is_the_plain_galerkin_system(disk100, field):
+    # a streamline weight of 0 leaves exactly M + dt (C + nu K) and M
+    mass = assemble_mass(disk100)
+    conv = _convection_matrix(disk100, *_streamline_derivatives(disk100, field))
+    lhs = mass + CFG.dt * (conv + CFG.nu * assemble_stiffness(disk100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        op = centered_prepare(disk100, field, CFG)
+    assert same_csr(op.lhs, lhs)
+    assert same_csr(op.rhs_mat, mass)
 
 
 @pytest.mark.parametrize("field", [rotation_field(), uniform_field(0.7, -1.3)])
