@@ -33,7 +33,7 @@ from .fem import (
     stability_form,
 )
 from .linalg import SolutionHistory
-from .mesh import TriMesh, build_disk_mesh, locate_point
+from .mesh import TriMesh, _whole, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
 from .schemes import (
     SchemeConfig,
@@ -98,9 +98,8 @@ class BellParams:
             raise ValueError("x0 must be a finite (x, y) pair")
         if not (np.isfinite(self.r) and self.r > 0.0):
             raise ValueError("r must be finite and > 0")
-        if self.n_steps is not None and not (
-                isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ValueError("n_steps must be a whole number >= 1")
+        if self.n_steps is not None:
+            _whole("n_steps", self.n_steps, 1)
         _config(self, 1)  # SchemeConfig checks nu and the numerics
 
 
@@ -200,7 +199,8 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
 
     Every solve of the run starts from the run's recent solutions (one
     :class:`~dcgm.linalg.SolutionHistory` for the run's single matrix), and
-    the stability norm reads the operator's ``form``.
+    the stability norm reads the operator's ``form``: each step's
+    diagnostics carry the norm of its new field.
 
     ``boundary(x, t)``, when given, supplies the imposed values at the
     boundary vertices ``x`` at each step's end time (Dirichlet steps only).
@@ -218,7 +218,7 @@ def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
         u, diag = step(op=op, u_prev=u, history=history, **extra)
         diags.append(diag)
         masses.append(diag.mass)
-        norms.append(nu_dt_norm(u, op.form))
+        norms.append(diag.norm)
     return u, np.array(masses), np.array(norms), diags
 
 

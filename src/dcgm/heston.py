@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from .characteristics import VelocityField
 from .fem import FieldP1, assemble_local, basis_gradients, integral, interpolate
 from .linalg import SolutionHistory, _level_blocks
-from .mesh import TriMesh, build_rect_mesh
+from .mesh import TriMesh, _whole, build_rect_mesh
 from .quadrature import QuadratureRule, nine_point_rule
 from .schemes import SchemeConfig, StepDiagnostics, dcgm_prepare, dcgm_step
 
@@ -264,6 +264,9 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     when the domain truncation starts to bite).
 
     ``on_step(step_index, field)`` is called after every step when given.
+    ``nx`` and ``ny`` (at least 2) and ``n_steps`` (at least 1) must be
+    ints or numpy integers; anything else raises ``ValueError`` naming the
+    argument before the run builds anything.
     Every step solves the same matrix, so the run factors it once in
     breadth-first levels (:func:`~dcgm.linalg._level_blocks`) and sets it as
     the operator's ``factor``: each step starts from the factor's solution,
@@ -272,8 +275,7 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     from one :class:`~dcgm.linalg.SolutionHistory`: the best combination of
     the run's recent solutions.
     """
-    if n_steps < 1:
-        raise ValueError("need at least one time step")
+    n_steps = _whole("n_steps", n_steps, 1)
     mesh = build_rect_mesh(nx, ny, params.x_max, params.y_max)
     tensor = heston_operator(params)
     rule = nine_point_rule()

@@ -537,6 +537,14 @@ def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
 # mesh builders
 
 
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int when it is an int or numpy integer >= ``least``;
+    anything else raises ``ValueError`` naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}")
+    return int(value)
+
+
 def build_rect_mesh(nx: int, ny: int, x_max: float, y_max: float) -> TriMesh:
     """Structured triangulation of the rectangle [0, x_max] x [0, y_max].
 
@@ -544,8 +552,7 @@ def build_rect_mesh(nx: int, ny: int, x_max: float, y_max: float) -> TriMesh:
     up-right diagonal, giving 2 (nx-1) (ny-1) triangles.  Boundary labels:
     1 bottom, 2 right, 3 top, 4 left, traversed counterclockwise.
     """
-    if nx < 2 or ny < 2:
-        raise ValueError("need at least a 2 x 2 vertex grid")
+    nx, ny = _whole("nx", nx, 2), _whole("ny", ny, 2)
     if not (x_max > 0.0 and y_max > 0.0):
         raise ValueError("rectangle extents must be positive")
     xs = np.linspace(0.0, x_max, nx)
@@ -603,9 +610,7 @@ def build_disk_mesh(n_boundary: int) -> TriMesh:
     the radius, so triangles stay close to isotropic.  Boundary edges carry
     label 1.
     """
-    if n_boundary < 8:
-        raise ValueError("need at least 8 boundary vertices")
-    n = int(n_boundary)
+    n = _whole("n_boundary", n_boundary, 8)
     m = max(1, round(n / (2.0 * math.pi)))  # number of rings
     ring_counts = [max(1, round(n * j / m)) for j in range(1, m + 1)]
     ring_counts[-1] = n

@@ -34,6 +34,7 @@ tolerance with 0 iterations.  The schemes differ in the transport matrix
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,6 +50,7 @@ from .fem import (
     assemble_stiffness,
     basis_gradients,
     integral,
+    nu_dt_norm,
     stability_form,
 )
 from .linalg import (SolutionHistory, SolveReport, _jacobi, bicgstab_solve,
@@ -121,13 +123,15 @@ class CflWarning(UserWarning):
 
 @dataclass(eq=False)
 class StepDiagnostics:
-    """Per-step bookkeeping: mass, extrema, solver outcome, projection rate."""
+    """Per-step bookkeeping: mass, extrema, solver outcome, projection rate
+    and the stability norm of the new field in the operator's ``form``."""
 
     mass: float
     min_value: float
     max_value: float
     solver: SolveReport
     projected_fraction: float
+    norm: float
 
     def csv_row(self, step: int) -> str:
         return (
@@ -221,7 +225,9 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
     """Solve ``op.lhs x = op.rhs_mat @ u_prev`` started from ``op.factor``'s
     solution when the operator has one, else warm-started from u_prev, or
     from ``history`` once it holds a solution; returns the new field and its
-    diagnostics.
+    diagnostics.  When ``form`` is ``lhs`` the norm is the square root of
+    the solve's ``energy``, which reads the product its final residual made;
+    otherwise it is :func:`~dcgm.fem.nu_dt_norm` of the new field.
 
     With imposed values ``g`` (a vertex vector; Dirichlet operators only) the
     unknowns are ``op.interior``: ``op.coupling`` moves g to the right-hand
@@ -246,12 +252,17 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
         full[op.interior] = x
         x = full
     u_new = FieldP1(op.mesh, x)
+    if op.form is op.lhs:
+        norm = math.sqrt(report.energy)
+    else:
+        norm = nu_dt_norm(u_new, op.form)
     diag = StepDiagnostics(
         mass=integral(u_new),
         min_value=float(x.min()),
         max_value=float(x.max()),
         solver=report,
         projected_fraction=op.projected_fraction,
+        norm=norm,
     )
     return u_new, diag
 

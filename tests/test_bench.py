@@ -1,10 +1,11 @@
 """Rotating-bell harness: exact solution, runs, studies, diagnostics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dcgm import bench
+from dcgm import bench, linalg
 from dcgm.bench import (SCHEMES, BellParams, T, _prepare, bell_at_time,
                         bell_center, compare_schemes, convergence_study,
                         cross_section, discontinuous_test, exact_bell,
@@ -14,7 +15,7 @@ from dcgm.characteristics import rotation_field
 from dcgm.fem import integral, interpolate, nu_dt_norm, stability_form
 from dcgm.linalg import SolutionHistory
 from dcgm.mesh import build_disk_mesh
-from dcgm.schemes import SchemeConfig, dcgm_prepare, pcgm_step
+from dcgm.schemes import CflWarning, SchemeConfig, dcgm_prepare, pcgm_step
 
 
 def test_scheme_names():
@@ -217,15 +218,35 @@ def test_solution_history_changes_only_rounding():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_norm_history_reads_the_stability_form(scheme):
-    # the characteristic runs read the norm from their operator's lhs; the
-    # first and last entries match a form assembled apart, bit for bit
+    # every run reads its norm from its operator's form: the first and last
+    # entries match that form bit for bit, and a stability form assembled
+    # apart, which the Eulerian prepares sum in another order, to rounding
     params = BellParams(n_steps=4)
     report = run_one_turn(60, scheme, params)
     mesh = report.final.mesh
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        op, _ = _prepare(scheme, mesh, SchemeConfig(nu=report.nu, dt=report.dt))
     form = stability_form(mesh, report.nu, report.dt)
     u0 = interpolate(mesh, bell_at_time(params, 0.0))
-    assert report.norm_history[0] == nu_dt_norm(u0, form)
-    assert report.norm_history[-1] == nu_dt_norm(report.final, form)
+    for u, norm in ((u0, report.norm_history[0]),
+                    (report.final, report.norm_history[-1])):
+        assert norm == nu_dt_norm(u, op.form)
+        assert norm == pytest.approx(nu_dt_norm(u, form), rel=1e-15, abs=0.0)
+
+
+def test_bicgstab_window_saves_iterations(monkeypatch):
+    # a centered turn started from BiCGStab's 32-solution history takes
+    # fewer iterations than the same turn with CG's window of 16
+    def iterations():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CflWarning)
+            report = run_one_turn(100, "centered")
+        return sum(d.solver.iterations for d in report.diagnostics)
+
+    wide = iterations()
+    monkeypatch.setattr(linalg, "_BICGSTAB_WINDOW", 16)
+    assert wide < iterations()
 
 
 def test_runs_assemble_no_stability_form(monkeypatch):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcgm import linalg
+from dcgm import heston, linalg
 from dcgm.fem import (assemble_local, assemble_mass, assemble_stiffness,
                       basis_gradients, interpolate)
 from dcgm.heston import (HestonParams, TensorField, _boundary_weights,
@@ -38,6 +38,33 @@ def test_params_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 HestonParams(**{name: bad})
+
+
+@pytest.mark.parametrize("args, name", [
+    ((10, 10, 2.5), "n_steps"),
+    ((10, 10, 0), "n_steps"),
+    ((10.5, 10, 5), "nx"),
+    ((10, 10.0, 5), "ny"),
+    ((0, 10, 5), "nx"),
+])
+def test_run_sizes_fail_before_any_work(monkeypatch, args, name):
+    # a grid or step count no run can use is refused, naming the argument,
+    # before the run builds its mesh, transport or factor
+    def refuse(*a, **k):
+        raise AssertionError("the run started building")
+
+    for stage in ("dcgm_prepare", "assemble_tensor_stiffness", "_level_blocks"):
+        monkeypatch.setattr(heston, stage, refuse)
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+        heston_run(HestonParams(), *args)
+
+
+def test_run_accepts_numpy_integer_sizes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, steps, _ = heston_run(HestonParams(), np.int64(8), np.int32(8),
+                                 np.int64(2))
+    assert len(steps) == 2
 
 
 def test_offdiag_coeff_switch():

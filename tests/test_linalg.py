@@ -176,12 +176,14 @@ def test_sweeps_match_the_textbook_recurrences(disk60, seed):
     rng = np.random.default_rng(seed)
     spd = (assemble_mass(disk60) + 0.1 * assemble_stiffness(disk60)).tocsr()
     general = dominant_system(seed, 300, symmetric=False)
-    for A, sweep, textbook in ((spd, linalg._cg_sweep, _textbook_cg),
-                               (general, linalg._bicgstab_sweep,
-                                _textbook_bicgstab)):
+    for A, sweep, textbook, window in (
+            (spd, linalg._cg_sweep, _textbook_cg, linalg._CG_WINDOW),
+            (general, linalg._bicgstab_sweep, _textbook_bicgstab,
+             linalg._BICGSTAB_WINDOW)):
         b = rng.standard_normal(A.shape[0])
-        x, report = linalg._solve(A, b, 1e-13, None, sweep, None, None)
-        y, expected = linalg._solve(A, b, 1e-13, None, textbook, None, None)
+        x, report = linalg._solve(A, b, 1e-13, None, sweep, None, None, window)
+        y, expected = linalg._solve(A, b, 1e-13, None, textbook, None, None,
+                                    window)
         assert report.iterations > 1
         assert np.array_equal(x, y) and report == expected
 
@@ -252,6 +254,45 @@ def test_history_start_after_a_repeat(disk60):
     assert second.iterations == 0
     assert second.start_residual == second.residual <= 1e-12 * np.linalg.norm(b)
     np.testing.assert_allclose(x2, x1, rtol=0, atol=1e-11 * np.abs(x1).max())
+
+
+@pytest.mark.parametrize("solve, window", [(cg_solve, 16), (bicgstab_solve, 32)])
+def test_history_window_follows_the_solver(solve, window):
+    # a history fed by CG holds up to 16 solutions and one fed by BiCGStab
+    # up to 32; a full window keeps the span of its newest half, then grows
+    n = 120
+    A = dominant_system(4, n, symmetric=solve is cg_solve)
+    rng = np.random.default_rng(5)
+    history = SolutionHistory()
+    expected = []
+    for _ in range(3 * window):
+        _, report = solve(A, rng.standard_normal(n), tol=1e-12, history=history)
+        assert report.converged
+        count = expected[-1] if expected else 0
+        expected.append((window // 2 if count == window else count) + 1)
+        assert history.count == expected[-1]
+    assert max(expected) == window and expected[window] == window // 2 + 1
+    assert history.Y.shape == history.Q.shape == (window, n)
+
+
+def test_energy_reads_the_final_product(disk60):
+    # every way a solve ends reports x . (A x) of the x it returns, bit for
+    # bit: the sweeps, a start that meets the tolerance (warm, from a
+    # history or from a factor) and a zero right-hand side
+    A = (assemble_mass(disk60) + 0.1 * assemble_stiffness(disk60)).tocsr()
+    b = A @ np.random.default_rng(9).standard_normal(disk60.nv)
+    factor = _level_blocks(A, 1e-12).solve
+    for solve in (cg_solve, bicgstab_solve):
+        history = SolutionHistory()
+        ends = [solve(A, b, tol=1e-12, history=history)]
+        ends.append(solve(A, b, tol=1e-12, x0=ends[0][0]))
+        ends.append(solve(A, b, tol=1e-12, history=history))
+        ends.append(solve(A, b, tol=1e-12, x0=factor(b), precond=factor))
+        assert ends[0][1].iterations > 0
+        assert [r.iterations for _, r in ends[1:]] == [0, 0, 0]
+        for x, report in ends:
+            assert report.energy == float(x @ (A @ x))
+        assert solve(A, np.zeros(disk60.nv))[1].energy == 0.0
 
 
 def test_non_finite_rhs_fails_at_once(disk60):

@@ -133,6 +133,24 @@ def test_disk_rejects_tiny():
         build_disk_mesh(5)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: build_disk_mesh(40.5), "n_boundary"),
+    (lambda: build_disk_mesh(40.0), "n_boundary"),
+    (lambda: build_rect_mesh(10.5, 10, 1.0, 1.0), "nx"),
+    (lambda: build_rect_mesh(10, 1, 1.0, 1.0), "ny"),
+])
+def test_vertex_counts_must_be_whole(build, name):
+    # a vertex count that is not an int, or too small, is refused, naming
+    # the argument, instead of building the mesh of its integer part
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+        build()
+
+
+def test_numpy_integer_vertex_counts():
+    assert build_disk_mesh(np.int64(40)).nv == build_disk_mesh(40).nv
+    assert build_rect_mesh(np.int32(4), np.int64(3), 1.0, 1.0).nv == 12
+
+
 def test_ccw_required():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 2, 1]])  # clockwise

@@ -13,7 +13,8 @@ from dcgm import characteristics
 from dcgm.characteristics import rotation_field, uniform_field
 from dcgm.fem import (FieldP1, assemble_local, assemble_mass,
                       assemble_stiffness, integral, interpolate,
-                      stability_form)
+                      nu_dt_norm, stability_form)
+from dcgm.linalg import SolutionHistory, _level_blocks
 from dcgm.heston import HestonParams, heston_operator
 from dcgm.mesh import build_disk_mesh, build_rect_mesh
 from dcgm.quadrature import nine_point_rule
@@ -168,8 +169,8 @@ def test_diagnostics_csv_row(disk100):
     assert row.startswith("3,")
 
 
-def _dirichlet_step(op, u_prev):
-    return dcgm_dirichlet_step(op, u_prev, 0.0)
+def _dirichlet_step(op, u_prev, history=None):
+    return dcgm_dirichlet_step(op, u_prev, 0.0, history)
 
 
 STEPPERS = {
@@ -195,6 +196,33 @@ def test_one_step_interface(name, disk60, disk100):
     assert diag.solver.converged
     with pytest.raises(ValueError, match="different mesh"):
         step(op, bump(disk60))
+
+
+@pytest.mark.parametrize("name", sorted(STEPPERS))
+def test_step_norm_is_the_form_norm(name, disk60):
+    # each step's norm is that of its new field in the operator's form, bit
+    # for bit, whether the solve's energy gives it (form is lhs) or it is
+    # computed apart; 20 steps take a CG history past its first halving
+    prepare, step = STEPPERS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        op = prepare(disk60, rotation_field(), CFG)
+    assert (op.form is op.lhs) == (name in ("dcgm", "pcgm"))
+    u, history = bump(disk60), SolutionHistory()
+    for _ in range(20):
+        u, diag = step(op, u, history)
+        assert diag.norm == nu_dt_norm(u, op.form)
+
+
+def test_factored_step_norm_is_the_form_norm(disk60):
+    # a step started from an exact factor reads its norm from that start
+    op = dcgm_prepare(disk60, rotation_field(), CFG)
+    op.factor = _level_blocks(op.lhs, CFG.solver_tol).solve
+    u = bump(disk60)
+    for _ in range(3):
+        u, diag = dcgm_step(op, u)
+        assert diag.solver.iterations == 0
+        assert diag.norm == nu_dt_norm(u, op.form)
 
 
 def test_characteristic_steps_check_the_direction(disk100):
