@@ -33,7 +33,7 @@ from .fem import (
     stability_form,
 )
 from .linalg import SolutionHistory
-from .mesh import TriMesh, _whole, build_disk_mesh, locate_point
+from .mesh import MIN_BOUNDARY, TriMesh, _whole, build_disk_mesh, locate_point
 from .quadrature import nine_point_rule
 from .schemes import (
     SchemeConfig,
@@ -266,9 +266,12 @@ def _turn(N: int, scheme: str, params: BellParams, initial, exact,
 
 def run_one_turn(N: int, scheme: str, params: BellParams | None = None) -> RunReport:
     """One full rotation of the bell fixed by ``params`` on the disk mesh
-    with ``N`` boundary vertices."""
+    with ``N`` boundary vertices; ``scheme`` is one of :data:`SCHEMES`."""
+    scheme = scheme.lower()
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     params = params or BellParams()
-    return _turn(N, scheme.lower(), params, bell_at_time(params, 0.0),
+    return _turn(N, scheme, params, bell_at_time(params, 0.0),
                  bell_at_time(params, T))
 
 
@@ -298,9 +301,10 @@ def convergence_study(scheme: str, sizes, params: BellParams | None = None):
     """Run the bell of ``params`` on a sweep of mesh sizes; returns
     (reports, fitted order).
 
-    Needs at least three sizes for a meaningful slope.
+    Needs at least three sizes for a meaningful slope; every size is
+    checked before the first turn.
     """
-    sizes = list(sizes)
+    sizes = [_whole("N", n, MIN_BOUNDARY) for n in sizes]
     if len(sizes) < 3:
         raise ValueError("need at least 3 mesh sizes to fit an order")
     reports = [run_one_turn(N, scheme, params) for N in sizes]

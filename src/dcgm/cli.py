@@ -30,17 +30,14 @@ from .bench import (
 )
 from .fem import write_field_csv
 from .heston import HestonParams, heston_run
-from .mesh import build_disk_mesh, build_rect_mesh, save_mesh
-from .schemes import StepDiagnostics
+from .mesh import MIN_BOUNDARY, build_disk_mesh, build_rect_mesh, save_mesh
 
 TABLE_HEADER = "scheme,N,vertices,n_steps,min,max,integral,l2_error"
 
 
-def _table_row(r: RunReport) -> str:
-    return (
-        f"{r.scheme},{r.n_boundary},{r.n_vertices},{r.n_steps},"
-        f"{r.min_value:.17g},{r.max_value:.17g},{r.mass:.17g},{r.l2_err:.17g}"
-    )
+def _table_row(r: RunReport) -> tuple:
+    return (r.scheme, r.n_boundary, r.n_vertices, r.n_steps, r.min_value,
+            r.max_value, r.mass, r.l2_err)
 
 
 def _print_row(r: RunReport) -> None:
@@ -55,18 +52,24 @@ def _write(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _row(cells) -> str:
+    """One CSV line: floats in full precision, anything else as ``str``."""
+    return ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    _write(path, [header, *map(_row, rows)])
+
+
 def _write_diag_csv(path: Path, report: RunReport) -> None:
-    lines = [StepDiagnostics.csv_header()]
-    for k, diag in enumerate(report.diagnostics, start=1):
-        lines.append(diag.csv_row(k))
-    _write(path, lines)
+    _write_csv(path, "step,mass,min,max,solver_iters,projected_fraction",
+               ((k, d.mass, d.min_value, d.max_value, d.solver.iterations,
+                 d.projected_fraction)
+                for k, d in enumerate(report.diagnostics, start=1)))
 
 
 def _write_cut_csv(path: Path, report: RunReport) -> None:
-    lines = ["x,u"]
-    for x, u in cross_section(report.final):
-        lines.append(f"{x:.17g},{u:.17g}")
-    _write(path, lines)
+    _write_csv(path, "x,u", cross_section(report.final))
 
 
 def _manifest(out: Path, args: argparse.Namespace, extra: dict) -> None:
@@ -88,6 +91,9 @@ def _parse_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad mesh-size list {text!r}")
     if not sizes:
         raise argparse.ArgumentTypeError("empty mesh-size list")
+    if min(sizes) < MIN_BOUNDARY:
+        raise argparse.ArgumentTypeError(
+            f"mesh size {min(sizes)} is below {MIN_BOUNDARY} boundary vertices")
     return sizes
 
 
@@ -198,7 +204,7 @@ def cmd_mesh(args, out: Path) -> dict:
 
 def cmd_bell(args, out: Path) -> dict:
     params = _bell_params(args)
-    rows = [TABLE_HEADER]
+    rows = []
     for n in args.N:
         if args.dirichlet:
             report = run_one_turn_dirichlet(n, params)
@@ -209,36 +215,31 @@ def cmd_bell(args, out: Path) -> dict:
         if report.diagnostics:
             _write_diag_csv(out / f"diag_{report.scheme}_{n}.csv", report)
         _write_cut_csv(out / f"cut{n}.csv", report)
-    _write(out / "table1.csv", rows)
+    _write_csv(out / "table1.csv", TABLE_HEADER, rows)
     return {"table": "table1.csv"}
 
 
 def cmd_compare(args, out: Path) -> dict:
     reports = compare_schemes(args.N, _bell_params(args))
-    rows = [TABLE_HEADER]
     for report in reports:
         _print_row(report)
-        rows.append(_table_row(report))
         _write_cut_csv(out / f"cut{args.N}_{report.scheme}.csv", report)
         if report.diagnostics:
             _write_diag_csv(out / f"diag_{report.scheme}_{args.N}.csv", report)
         if report.scheme == "dcgm":
             _write_cut_csv(out / f"cut{args.N}.csv", report)
-    _write(out / "table2.csv", rows)
+    _write_csv(out / "table2.csv", TABLE_HEADER, map(_table_row, reports))
     return {"table": "table2.csv"}
 
 
 def cmd_convergence(args, out: Path) -> dict:
     reports, order = convergence_study(args.scheme, args.N, _bell_params(args))
-    rows = ["N,vertices,h_max,l2_error,fitted_order"]
     for r in reports:
         _print_row(r)
-        rows.append(
-            f"{r.n_boundary},{r.n_vertices},{r.h_max:.17g},"
-            f"{r.l2_err:.17g},{order:.17g}"
-        )
     print(f"fitted order in h: {order:.3f}")
-    _write(out / "convergence.csv", rows)
+    _write_csv(out / "convergence.csv", "N,vertices,h_max,l2_error,fitted_order",
+               ((r.n_boundary, r.n_vertices, r.h_max, r.l2_err, order)
+                for r in reports))
     return {"fitted_order": f"{order:.17g}"}
 
 
@@ -265,10 +266,9 @@ def cmd_heston(args, out: Path) -> dict:
     final, steps, price = heston_run(
         params, args.nx, args.ny, args.steps, on_step=snap,
     )
-    lines = [steps[0].csv_header()]
-    for k, row in enumerate(steps, start=1):
-        lines.append(row.csv_row(k))
-    _write(out / "heston_diag.csv", lines)
+    _write_csv(out / "heston_diag.csv", "step,mass,min,max,price,boundary_mass",
+               ((k, s.diag.mass, s.diag.min_value, s.diag.max_value, s.price,
+                 s.boundary_mass) for k, s in enumerate(steps, start=1)))
     write_field_csv(final, out / "heston_final.csv")
     last = steps[-1]
     print(

@@ -223,17 +223,6 @@ class HestonStep:
     price: float
     boundary_mass: float
 
-    def csv_row(self, step: int) -> str:
-        return (
-            f"{step},{self.diag.mass:.17g},{self.diag.min_value:.17g},"
-            f"{self.diag.max_value:.17g},{self.price:.17g},"
-            f"{self.boundary_mass:.17g}"
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "step,mass,min,max,price,boundary_mass"
-
 
 def _initial_density(mesh: TriMesh, params: HestonParams) -> FieldP1:
     sx, sy = params.sigma, params.sigma_v
@@ -265,8 +254,9 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
 
     ``on_step(step_index, field)`` is called after every step when given.
     ``nx`` and ``ny`` (at least 2) and ``n_steps`` (at least 1) must be
-    ints or numpy integers; anything else raises ``ValueError`` naming the
-    argument before the run builds anything.
+    ints or numpy integers, and ``on_step`` None or callable; anything else
+    raises ``ValueError`` naming the argument before the run builds
+    anything.
     Every step solves the same matrix, so the run factors it once in
     breadth-first levels (:func:`~dcgm.linalg._level_blocks`) and sets it as
     the operator's ``factor``: each step starts from the factor's solution,
@@ -276,6 +266,8 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     the run's recent solutions.
     """
     n_steps = _whole("n_steps", n_steps, 1)
+    if on_step is not None and not callable(on_step):
+        raise ValueError(f"on_step must be callable, not {on_step!r}")
     mesh = build_rect_mesh(nx, ny, params.x_max, params.y_max)
     tensor = heston_operator(params)
     rule = nine_point_rule()

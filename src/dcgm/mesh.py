@@ -537,6 +537,9 @@ def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
 # mesh builders
 
 
+MIN_BOUNDARY = 8  # fewest boundary vertices build_disk_mesh accepts
+
+
 def _whole(name: str, value, least: int) -> int:
     """``value`` as an int when it is an int or numpy integer >= ``least``;
     anything else raises ``ValueError`` naming ``name``."""
@@ -610,7 +613,7 @@ def build_disk_mesh(n_boundary: int) -> TriMesh:
     the radius, so triangles stay close to isotropic.  Boundary edges carry
     label 1.
     """
-    n = _whole("n_boundary", n_boundary, 8)
+    n = _whole("n_boundary", n_boundary, MIN_BOUNDARY)
     m = max(1, round(n / (2.0 * math.pi)))  # number of rings
     ring_counts = [max(1, round(n * j / m)) for j in range(1, m + 1)]
     ring_counts[-1] = n

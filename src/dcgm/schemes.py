@@ -133,17 +133,6 @@ class StepDiagnostics:
     projected_fraction: float
     norm: float
 
-    def csv_row(self, step: int) -> str:
-        return (
-            f"{step},{self.mass:.17g},{self.min_value:.17g},"
-            f"{self.max_value:.17g},{self.solver.iterations},"
-            f"{self.projected_fraction:.17g}"
-        )
-
-    @staticmethod
-    def csv_header() -> str:
-        return "step,mass,min,max,solver_iters,projected_fraction"
-
 
 @dataclass(eq=False)
 class LinearStep:
@@ -270,16 +259,18 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
 def dcgm_step(op: DcgmOperator, u_prev: FieldP1,
               history: SolutionHistory | None = None):
     """One conservative characteristic step (forward-image scatter)."""
-    if not op.dual:
-        raise ValueError("dcgm_step needs a dual operator; use pcgm_step")
+    if not (isinstance(op, DcgmOperator) and op.dual):
+        raise ValueError("dcgm_step needs an operator from "
+                         "dcgm_prepare(..., dual=True)")
     return _advance(op, u_prev, cg_solve, "characteristic", history)
 
 
 def pcgm_step(op: DcgmOperator, u_prev: FieldP1,
               history: SolutionHistory | None = None):
     """One primal characteristic step (backward gather; not conservative)."""
-    if op.dual:
-        raise ValueError("pcgm_step needs an operator prepared with dual=False")
+    if not (isinstance(op, DcgmOperator) and not op.dual):
+        raise ValueError("pcgm_step needs an operator from "
+                         "dcgm_prepare(..., dual=False)")
     return _advance(op, u_prev, cg_solve, "primal characteristic", history)
 
 

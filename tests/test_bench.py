@@ -98,9 +98,24 @@ def test_run_one_turn_smoke():
     assert len(r.diagnostics) == r.n_steps
 
 
-def test_run_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
-        run_one_turn(60, "upwind", BellParams())
+def _refuse(*args, **kwargs):
+    raise AssertionError("the run started building")
+
+
+def test_run_rejects_unknown_scheme(monkeypatch):
+    # before the mesh is built; the private Dirichlet name is no scheme of
+    # run_one_turn either
+    monkeypatch.setattr(bench, "build_disk_mesh", _refuse)
+    for scheme in ("upwind", "dcgm-dirichlet"):
+        with pytest.raises(ValueError, match="choose from") as err:
+            run_one_turn(400, scheme, BellParams())
+        assert all(name in str(err.value) for name in SCHEMES)
+
+
+def test_convergence_study_checks_every_size_first(monkeypatch):
+    monkeypatch.setattr(bench, "run_one_turn", _refuse)
+    with pytest.raises(ValueError, match=r"^N must be a whole number >= 8"):
+        convergence_study("dcgm", [60, 80, 5])
 
 
 def test_exact_report_is_floor():

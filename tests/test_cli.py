@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from dcgm.bench import BellParams, run_one_turn
-from dcgm.cli import _table_row, build_parser, main
+from dcgm.cli import _row, _table_row, build_parser, main
 
 
 def run_cli(args):
@@ -80,6 +80,30 @@ def test_deterministic_artifacts(tmp_path, name):
     assert first == second
 
 
+@pytest.mark.parametrize("name", ["bell", "compare", "convergence", "discont",
+                                  "heston"])
+def test_csv_rows_fit_their_headers(tmp_path, name):
+    # every row has one cell per header column, and every number is written
+    # in full: formatting the value read back with .17g gives the cell again
+    assert run_cli(["--out", str(tmp_path)] + DETERMINISM_RUNS[name]) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert text.endswith("\n"), path.name
+        header, *rows = text.splitlines()
+        assert rows, path.name
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == header.count(",") + 1, (path.name, row)
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a scheme name
+                assert format(value, ".17g") == cell, (path.name, cell)
+
+
 def test_discont_nu_reaches_the_solve(tmp_path):
     diags = []
     for extra in ([], ["--nu", "0.002"]):
@@ -97,7 +121,7 @@ def test_bell_numerics_reach_the_run(tmp_path):
         assert run_cli(["--out", str(out), "bell", "--N", "40"] + extra) == 0
         rows.append((out / "table1.csv").read_text().splitlines()[1])
     params = BellParams(sigma=0, quadrature="midedge", solver_tol=1e-10)
-    assert rows[1] == _table_row(run_one_turn(40, "dcgm", params))
+    assert rows[1] == _row(_table_row(run_one_turn(40, "dcgm", params)))
     assert rows[1] != rows[0]
 
 
@@ -174,6 +198,13 @@ def test_dirichlet_rejects_other_schemes(tmp_path, capsys):
                     "--dirichlet"])
     assert code == 2
     assert "--dirichlet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bell_checks_every_size_before_any_run(tmp_path, capsys):
+    out = tmp_path / "small"
+    assert run_cli(["--out", str(out), "bell", "--N", "60,5"]) == 2
+    assert "mesh size 5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -368,10 +368,10 @@ def test_boundary_mass_formula():
     assert lumped < 0.5 * got
 
 
-def test_step_rows_format():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, steps, _ = heston_run(HestonParams(T=0.1), 20, 20, 2)
-    row = steps[0].csv_row(1)
-    assert row.startswith("1,")
-    assert row.count(",") == steps[0].csv_header().count(",") == 5
+def test_run_rejects_a_non_callable_on_step(monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("the run started building")
+
+    monkeypatch.setattr(heston, "build_rect_mesh", refuse)
+    with pytest.raises(ValueError, match=r"^on_step must be callable"):
+        heston_run(HestonParams(), 10, 10, 2, on_step=5)

@@ -160,15 +160,6 @@ def test_dirichlet_absorbing_boundary(disk100):
     assert np.max(np.abs(u.coeffs[bnd])) == 0.0
 
 
-def test_diagnostics_csv_row(disk100):
-    op = dcgm_prepare(disk100, rotation_field(), CFG)
-    _, diag = dcgm_step(op, bump(disk100))
-    header = StepDiagnostics.csv_header()
-    row = diag.csv_row(3)
-    assert header.count(",") == row.count(",")
-    assert row.startswith("3,")
-
-
 def _dirichlet_step(op, u_prev, history=None):
     return dcgm_dirichlet_step(op, u_prev, 0.0, history)
 
@@ -231,6 +222,11 @@ def test_characteristic_steps_check_the_direction(disk100):
         dcgm_step(dcgm_prepare(disk100, rotation_field(), CFG, dual=False), u)
     with pytest.raises(ValueError):
         pcgm_step(dcgm_prepare(disk100, rotation_field(), CFG), u)
+    # an Eulerian operator is refused by name, not by a missing attribute
+    supg = supg_prepare(disk100, rotation_field(), CFG)
+    for step in (dcgm_step, pcgm_step):
+        with pytest.raises(ValueError, match="needs an operator from dcgm_prepare"):
+            step(supg, u)
 
 
 # uniform transports on a small rectangle, many of whose images leave it
