@@ -301,12 +301,14 @@ def convergence_study(scheme: str, sizes, params: BellParams | None = None):
     """Run the bell of ``params`` on a sweep of mesh sizes; returns
     (reports, fitted order).
 
-    Needs at least three sizes for a meaningful slope; every size is
-    checked before the first turn.
+    Needs at least three distinct sizes for a meaningful slope; every size
+    is checked before the first turn.
     """
     sizes = [_whole("N", n, MIN_BOUNDARY) for n in sizes]
     if len(sizes) < 3:
         raise ValueError("need at least 3 mesh sizes to fit an order")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError("N repeats a mesh size; the fit needs distinct sizes")
     reports = [run_one_turn(N, scheme, params) for N in sizes]
     order = fit_order([r.h_max for r in reports], [r.l2_err for r in reports])
     return reports, order

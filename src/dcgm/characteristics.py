@@ -97,20 +97,26 @@ def uniform_field(ax: float, ay: float) -> VelocityField:
     return VelocityField(value=value, jacobian=jacobian)
 
 
-def _trace(field: VelocityField, x, dt: float, sigma: float, direction: float):
+def _trace(field: VelocityField, x, dt: float, sigma: float, directions):
+    """Images of ``x`` one step along each of ``directions`` (+1 forward,
+    -1 backward), all from one evaluation of the field per point."""
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     pts = pts.reshape(-1, 2)
-    out = np.empty_like(pts)
+    outs = [np.empty_like(pts) for _ in directions]
     for lo in range(0, pts.shape[0], _TRACE_BLOCK):
         block = slice(lo, lo + _TRACE_BLOCK)
-        out[block] = _trace_block(field, pts[block], dt, sigma, direction)
-    return out[0] if scalar else out
+        move, bend = _trace_block(field, pts[block], dt, sigma)
+        for out, direction in zip(outs, directions):
+            image = pts[block] + move if direction > 0 else pts[block] - move
+            out[block] = image if bend is None else image + bend
+    return [out[0] if scalar else out for out in outs]
 
 
 def _trace_block(field: VelocityField, pts: np.ndarray, dt: float,
-                 sigma: float, direction: float) -> np.ndarray:
-    """:func:`_trace` on a batch ``pts`` (m, 2)."""
+                 sigma: float):
+    """The two terms of a trace from the batch ``pts`` (m, 2): dt a(x), and
+    sigma (dt^2/2) (a . grad) a (x), None when the trace is first order."""
     ax, ay = field.value(pts[:, 0], pts[:, 1])
     a = np.column_stack(
         [
@@ -118,15 +124,14 @@ def _trace_block(field: VelocityField, pts: np.ndarray, dt: float,
             np.broadcast_to(np.asarray(ay, dtype=float), (pts.shape[0],)),
         ]
     )
-    out = pts + (direction * dt) * a
-    if sigma != 0.0 and field.jacobian is not None:
-        jac = np.broadcast_to(
-            np.asarray(field.jacobian(pts[:, 0], pts[:, 1]), dtype=float),
-            (pts.shape[0], 2, 2),
-        )
-        curve = np.einsum("mi,mij->mj", a, jac)
-        out = out + (0.5 * sigma * dt * dt) * curve
-    return out
+    if sigma == 0.0 or field.jacobian is None:
+        return dt * a, None
+    jac = np.broadcast_to(
+        np.asarray(field.jacobian(pts[:, 0], pts[:, 1]), dtype=float),
+        (pts.shape[0], 2, 2),
+    )
+    curve = np.einsum("mi,mij->mj", a, jac)
+    return dt * a, (0.5 * sigma * dt * dt) * curve
 
 
 def trace_forward(field: VelocityField, x, dt: float, sigma: float = 1.0):
@@ -134,12 +139,12 @@ def trace_forward(field: VelocityField, x, dt: float, sigma: float = 1.0):
 
     Accepts one point (shape (2,)) or a batch (m, 2); returns the same shape.
     """
-    return _trace(field, x, dt, sigma, +1.0)
+    return _trace(field, x, dt, sigma, (+1,))[0]
 
 
 def trace_backward(field: VelocityField, x, dt: float, sigma: float = 1.0):
     """Position ``dt`` ago under the field, second order when sigma = 1."""
-    return _trace(field, x, dt, sigma, -1.0)
+    return _trace(field, x, dt, sigma, (-1,))[0]
 
 
 @dataclass(eq=False)
@@ -177,6 +182,50 @@ def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
     )
 
 
+def _read_images(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
+                 dt: float, sigma: float, dual: bool, t0: int, t1: int,
+                 projected: dict):
+    """Trace the quadrature nodes of triangles t0 .. t1 - 1 both ways, put
+    the flags of their images into ``projected``, and locate the images the
+    scheme reads, outside ones after projection: (triangles, barycentric)."""
+    nq = len(rule)
+    points = slice(t0 * nq, t1 * nq)
+    src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
+    fwd, bwd = _trace(field, src, dt, sigma, (+1, -1))
+    read, images, other = ("fwd", fwd, bwd) if dual else ("bwd", bwd, fwd)
+    projected["bwd" if dual else "fwd"][points] = _outside(mesh, other)
+    tri, bary = locate_point(mesh, images)
+    outside = tri < 0
+    projected[read][points] = outside
+    if outside.any():
+        tri2, bary2 = locate_point(mesh, project_to_domain(mesh, images[outside]))
+        if np.any(tri2 < 0):
+            raise RuntimeError("projected characteristic endpoint not locatable")
+        tri[outside] = tri2
+        bary[outside] = bary2
+    return tri, bary
+
+
+def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
+                     dt: float, sigma: float, dual: bool, t0: int, t1: int,
+                     projected: dict) -> sp.coo_matrix:
+    """The transport of the quadrature nodes of triangles t0 .. t1 - 1, as
+    coordinates; the flags of their images go into ``projected``.  The
+    images are freed before the product is formed."""
+    nq = len(rule)
+    image = _read_images(mesh, field, rule, dt, sigma, dual, t0, t1, projected)
+    src = (np.repeat(np.arange(t0, t1, dtype=np.int64), nq),
+           np.tile(rule.points, (t1 - t0, 1)))
+    # P_fwd^T W P_src for the dual scheme, P_src^T W P_bwd for the primal;
+    # the node weights go into the transposed factor's data, so the block's
+    # transport is one sparse product
+    left, right = (image, src) if dual else (src, image)
+    w = (mesh.areas[t0:t1, None] * rule.weights[None, :]).reshape(-1, 1)
+    np.multiply(left[1], w, out=left[1])
+    return (_interpolation_matrix(mesh, *left).T
+            @ _interpolation_matrix(mesh, *right)).tocoo()
+
+
 def build_traced_points(
     mesh: TriMesh,
     field: VelocityField,
@@ -200,46 +249,15 @@ def build_traced_points(
     """
     nq = len(rule)
     nt = mesh.nt
-    read = "fwd" if dual else "bwd"
     projected = {side: np.empty(nt * nq, dtype=bool) for side in ("fwd", "bwd")}
     per_block = max(1, _BUILD_BLOCK // nq)
-    rows, cols, vals = [], [], []
-    for t0 in range(0, nt, per_block):
-        t1 = min(t0 + per_block, nt)
-        src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
-        for side, trace in (("fwd", trace_forward), ("bwd", trace_backward)):
-            images = trace(field, src, dt, sigma)
-            if side != read:
-                projected[side][t0 * nq:t1 * nq] = _outside(mesh, images)
-                continue
-            tri, bary = locate_point(mesh, images)
-            outside = tri < 0
-            projected[side][t0 * nq:t1 * nq] = outside
-            if outside.any():
-                tri2, bary2 = locate_point(
-                    mesh, project_to_domain(mesh, images[outside]))
-                if np.any(tri2 < 0):
-                    raise RuntimeError("projected characteristic endpoint "
-                                       "not locatable")
-                tri[outside] = tri2
-                bary[outside] = bary2
-            image = (tri, bary)
-        # the node weights go into the transposed factor's data, so the
-        # block's transport is one sparse product
-        w = (mesh.areas[t0:t1, None] * rule.weights[None, :]).reshape(-1, 1)
-        src_tri = np.repeat(np.arange(t0, t1, dtype=np.int64), nq)
-        src_bary = np.tile(rule.points, (t1 - t0, 1))
-        if dual:  # P_fwd^T W P_src
-            left, right = (image[0], image[1] * w), (src_tri, src_bary)
-        else:  # P_src^T W P_bwd
-            left, right = (src_tri, src_bary * w), image
-        block = (_interpolation_matrix(mesh, *left).T
-                 @ _interpolation_matrix(mesh, *right)).tocoo()
-        rows.append(block.row)
-        cols.append(block.col)
-        vals.append(block.data)
+    blocks = [_transport_block(mesh, field, rule, dt, sigma, dual,
+                               t0, min(t0 + per_block, nt), projected)
+              for t0 in range(0, nt, per_block)]
     transport = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([b.data for b in blocks]),
+         (np.concatenate([b.row for b in blocks]),
+          np.concatenate([b.col for b in blocks]))),
         shape=(mesh.nv, mesh.nv),
     )
     return TracedPoints(

@@ -84,16 +84,28 @@ def _manifest(out: Path, args: argparse.Namespace, extra: dict) -> None:
     _write(out / "manifest.txt", lines)
 
 
+def _at_least(least: int, what: str):
+    """An argparse type: a whole number >= ``least``, ``what`` in errors."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} {value} is below {least}")
+        return value
+    return parse
+
+
+_parse_size = _at_least(MIN_BOUNDARY, "mesh size")
+
+
 def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad mesh-size list {text!r}")
+    sizes = [_parse_size(tok) for tok in text.split(",") if tok.strip()]
     if not sizes:
         raise argparse.ArgumentTypeError("empty mesh-size list")
-    if min(sizes) < MIN_BOUNDARY:
-        raise argparse.ArgumentTypeError(
-            f"mesh size {min(sizes)} is below {MIN_BOUNDARY} boundary vertices")
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"repeated mesh size in {text!r}")
     return sizes
 
 
@@ -157,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("compare", help="all schemes on one mesh, writes table2.csv")
-    p.add_argument("--N", type=int, default=200)
+    p.add_argument("--N", type=_parse_size, default=200)
     _add_bell_flags(p)
     p.set_defaults(func=cmd_compare)
 
@@ -168,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("discont", help="indicator-datum robustness run")
-    p.add_argument("--N", type=int, default=200)
+    p.add_argument("--N", type=_parse_size, default=200)
     _add_scheme_flags(p)
     p.set_defaults(func=cmd_discont)
 
@@ -182,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offdiag-rho", action="store_true",
                    help="use rho*lam in the off-diagonal diffusion entry "
                         "instead of the as-printed lam")
-    p.add_argument("--snapshot-every", type=int, default=0,
+    p.add_argument("--snapshot-every", type=_at_least(0, "snapshot interval"),
+                   default=0,
                    help="write a density CSV every k steps (0: final only)")
     p.set_defaults(func=cmd_heston)
 

@@ -81,11 +81,10 @@ def basis_gradients(mesh: TriMesh) -> np.ndarray:
     Returns shape (nt, 3, 2); constant on each triangle, and the three rows
     sum to zero.
     """
-    rows = mesh._bary_rows  # grad of l1 and l2
     g = np.empty((mesh.nt, 3, 2))
-    g[:, 1] = rows[:, 0]
-    g[:, 2] = rows[:, 1]
-    g[:, 0] = -rows[:, 0] - rows[:, 1]
+    g[:, 1, 0], g[:, 1, 1] = mesh._r00, mesh._r01  # grad of l1
+    g[:, 2, 0], g[:, 2, 1] = mesh._r10, mesh._r11  # grad of l2
+    g[:, 0] = -g[:, 1] - g[:, 2]
     return g
 
 
@@ -97,9 +96,15 @@ def triangle_gradients(field: FieldP1) -> np.ndarray:
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+# triangles per block of l2_error's quadrature; bounds its (block, nq)
+# temporaries
+_L2_BLOCK = 2048
 
 
-def _ij_pairs(tris: np.ndarray):
+def _ij_pairs(mesh: TriMesh):
+    # the index type scipy would convert the pairs to
+    small = mesh.nv <= np.iinfo(np.int32).max
+    tris = mesh.triangles.astype(np.int32 if small else np.int64)
     rows = np.repeat(tris, 3, axis=1)  # v0 v0 v0 v1 v1 v1 v2 v2 v2
     cols = np.tile(tris, (1, 3))  # v0 v1 v2 v0 v1 v2 v0 v1 v2
     return rows, cols
@@ -109,7 +114,7 @@ def assemble_local(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
     """Sum per-triangle 3x3 blocks (shape (nt, 3, 3)) into a global matrix."""
     if local.shape != (mesh.nt, 3, 3):
         raise ValueError("expected one 3x3 block per triangle")
-    rows, cols = _ij_pairs(mesh.triangles)
+    rows, cols = _ij_pairs(mesh)
     return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(mesh.nv, mesh.nv))
 
@@ -120,8 +125,10 @@ def _mass_local(mesh: TriMesh) -> np.ndarray:
 
 def _stiffness_local(mesh: TriMesh) -> np.ndarray:
     g = basis_gradients(mesh)
-    dot = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
-    return dot * mesh.areas[:, None, None]
+    dot = g[:, :, None, 0] * g[:, None, :, 0]
+    dot += g[:, :, None, 1] * g[:, None, :, 1]
+    dot *= mesh.areas[:, None, None]
+    return dot
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
@@ -138,7 +145,11 @@ def stability_form(mesh: TriMesh, nu: float, dt: float) -> sp.csr_matrix:
     """M + nu dt K, the matrix of the squared stability norm (see
     :func:`nu_dt_norm`) and the left side of the characteristic step; build
     it once per run, not per step."""
-    return assemble_local(mesh, _mass_local(mesh) + (nu * dt) * _stiffness_local(mesh))
+    local = _stiffness_local(mesh)
+    local *= nu * dt
+    for i, j in np.ndindex(3, 3):  # + _mass_local(mesh), one entry at a time
+        local[:, i, j] += mesh.areas * _MASS_PATTERN[i, j]
+    return assemble_local(mesh, local)
 
 
 def integral(field: FieldP1) -> float:
@@ -189,10 +200,17 @@ def write_field_csv(field: FieldP1, path) -> None:
 
 
 def l2_error(field: FieldP1, exact, rule: QuadratureRule) -> float:
-    """Quadrature L2 distance between the field and a callable ``exact(x, y)``."""
+    """Quadrature L2 distance between the field and a callable ``exact(x, y)``.
+
+    The quadrature runs over blocks of ``_L2_BLOCK`` triangles, each call of
+    ``exact`` on one block's points; the per-triangle sums are added once.
+    """
     mesh = field.mesh
-    phys = rule.points @ mesh._tri_xy  # (nt, nq, 2)
-    u = field.coeffs[mesh.triangles] @ rule.points.T  # (nt, nq)
-    e = _call_on_points(exact, phys[:, :, 0], phys[:, :, 1])
-    per_tri = (u - e) ** 2 @ rule.weights
+    per_tri = np.empty(mesh.nt)
+    for t0 in range(0, mesh.nt, _L2_BLOCK):
+        block = slice(t0, t0 + _L2_BLOCK)
+        phys = rule.points @ mesh._tri_xy[block]  # (block, nq, 2)
+        u = field.coeffs[mesh.triangles[block]] @ rule.points.T  # (block, nq)
+        e = _call_on_points(exact, phys[:, :, 0], phys[:, :, 1])
+        per_tri[block] = (u - e) ** 2 @ rule.weights
     return float(np.sqrt(np.sum(mesh.areas * per_tri)))

@@ -121,19 +121,12 @@ class TriMesh:
             )
         self.areas = 0.5 * det
         self._tri_xy = tri_xy
-        # rows of the barycentric transform: for p in triangle k with
-        # d = p - v0, the coordinates are l1 = R[k,0].d, l2 = R[k,1].d,
-        # l0 = 1 - l1 - l2
-        rows = np.empty((self.nt, 2, 2))
-        rows[:, 0, 0] = e2[:, 1] / det
-        rows[:, 0, 1] = -e2[:, 0] / det
-        rows[:, 1, 0] = -e1[:, 1] / det
-        rows[:, 1, 1] = e1[:, 0] / det
-        self._bary_rows = rows
-        # flat copies of v0 and R, so that the walk gathers 1-D arrays
+        # the barycentric transform, as flat arrays so that the walk gathers
+        # 1-D arrays: for p in triangle k with d = p - v0, the coordinates
+        # are l1 = (r00, r01)[k].d, l2 = (r10, r11)[k].d, l0 = 1 - l1 - l2
+        self._r00, self._r01 = e2[:, 1] / det, -e2[:, 0] / det
+        self._r10, self._r11 = -e1[:, 1] / det, e1[:, 0] / det
         self._v0x, self._v0y = tri_xy[:, 0, 0].copy(), tri_xy[:, 0, 1].copy()
-        self._r00, self._r01 = rows[:, 0, 0].copy(), rows[:, 0, 1].copy()
-        self._r10, self._r11 = rows[:, 1, 0].copy(), rows[:, 1, 1].copy()
 
         self.neighbors = self._build_neighbors()
         self._cell_tri = self._build_cell_table(tri_xy.mean(axis=1))
@@ -336,9 +329,10 @@ class TriMesh:
 # ----------------------------------------------------------------------
 # point location
 
-# outside points handled at once by project_to_domain; bounds the
-# (chunk, nbe) temporaries of the nearest-segment search
-_PROJECT_CHUNK = 256
+# (outside point, boundary edge) pairs project_to_domain searches at once;
+# bounds the (points, nbe) temporaries of the nearest-segment search
+# whatever the number of boundary edges
+_PROJECT_PAIRS = 16384
 # edge points handled at once by _lowest_containing; bounds its candidate
 # temporaries, about 18 triangles per point
 _EDGE_CHUNK = 1024
@@ -517,8 +511,9 @@ def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
     ab = b - a
     denom = ab[:, 0] ** 2 + ab[:, 1] ** 2
     denom[denom == 0.0] = 1.0
-    for lo in range(0, outside.size, _PROJECT_CHUNK):
-        idx = outside[lo : lo + _PROJECT_CHUNK]
+    chunk = max(1, _PROJECT_PAIRS // max(1, mesh.nbe))
+    for lo in range(0, outside.size, chunk):
+        idx = outside[lo : lo + chunk]
         px = pts[idx, 0:1]
         py = pts[idx, 1:2]
         t = ((px - a[:, 0]) * ab[:, 0] + (py - a[:, 1]) * ab[:, 1]) / denom

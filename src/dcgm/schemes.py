@@ -189,13 +189,13 @@ def dcgm_prepare(mesh: TriMesh, field: VelocityField, config: SchemeConfig,
     ``stiffness`` replaces the constant-coefficient stiffness matrix (an
     anisotropic one, say); it is scaled by nu dt all the same.
     """
-    rule = rule_by_name(config.quadrature)
-    tp = build_traced_points(mesh, field, rule, config.dt, config.sigma,
-                             dual=dual)
+    # the matrix first: its assembly scratch then meets less live state
     if stiffness is None:
         lhs = stability_form(mesh, config.nu, config.dt)
     else:
         lhs = assemble_mass(mesh) + (config.nu * config.dt) * stiffness
+    tp = build_traced_points(mesh, field, rule_by_name(config.quadrature),
+                             config.dt, config.sigma, dual=dual)
     return DcgmOperator(
         mesh=mesh,
         lhs=lhs,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,20 @@ def disk100():
 @pytest.fixture(scope="session")
 def unit_square():
     return build_rect_mesh(9, 9, 1.0, 1.0)
+
+
+@pytest.fixture()
+def traced_peak():
+    """``traced_peak(fn, *args)``: the peak memory, in bytes, that the call
+    allocates above what was live at its entry (tracemalloc)."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture()

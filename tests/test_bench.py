@@ -118,6 +118,19 @@ def test_convergence_study_checks_every_size_first(monkeypatch):
         convergence_study("dcgm", [60, 80, 5])
 
 
+def test_convergence_study_rejects_a_repeated_size(monkeypatch):
+    # three turns of one mesh give a slope through a single point
+    monkeypatch.setattr(bench, "run_one_turn", _refuse)
+    with pytest.raises(ValueError, match=r"^N repeats a mesh size"):
+        convergence_study("dcgm", [30, 30, 30])
+
+
+def test_turn_peak_is_its_state_plus_the_step_loop(traced_peak):
+    # the set-up and report kernels work in bounded blocks, so the peak is
+    # the turn's live state plus the step loop's working set
+    assert traced_peak(run_one_turn, 400, "dcgm") <= 16.5e6
+
+
 def test_exact_report_is_floor():
     ex = exact_report(100)
     run = run_one_turn(100, "dcgm", BellParams())

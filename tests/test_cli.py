@@ -208,6 +208,29 @@ def test_bell_checks_every_size_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convergence_rejects_a_repeated_size(tmp_path, capsys):
+    out = tmp_path / "repeat"
+    assert run_cli(["--out", str(out), "convergence", "--N", "30,30,30"]) == 2
+    assert "repeated mesh size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "discont"])
+def test_single_size_commands_check_the_size(tmp_path, capsys, command):
+    out = tmp_path / command
+    assert run_cli(["--out", str(out), command, "--N", "5"]) == 2
+    assert "mesh size 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_heston_rejects_a_negative_snapshot_interval(tmp_path, capsys):
+    out = tmp_path / "snap"
+    code = run_cli(["--out", str(out), "heston", "--snapshot-every", "-2"])
+    assert code == 2
+    assert "--snapshot-every" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bell_rejects_zero_steps(tmp_path, capsys):
     out = tmp_path / "zero"
     code = run_cli(["--out", str(out), "bell", "--N", "40", "--steps", "0"])

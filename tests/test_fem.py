@@ -190,6 +190,24 @@ def test_l2_error_quadratic_floor():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
+def test_l2_error_scratch_is_bounded(traced_peak):
+    # the quadrature runs in blocks of triangles, so its scratch does not
+    # grow with the mesh
+    mesh = build_disk_mesh(400)
+    f = interpolate(mesh, lambda x, y: np.exp(-20.0 * (x * x + y * y)))
+
+    def exact(x, y):
+        return np.exp(-20.0 * ((x - 0.1) ** 2 + y * y))
+
+    assert traced_peak(l2_error, f, exact, nine_point_rule()) <= 2e6
+
+
+def test_stability_form_scratch_is_bounded(traced_peak):
+    # int32 index pairs and one local array, summed in place
+    mesh = build_disk_mesh(400)
+    assert traced_peak(stability_form, mesh, 1e-3, 2.0 * math.pi / 133) <= 8e6
+
+
 def test_field_validation(unit_square):
     with pytest.raises(ValueError):
         FieldP1(unit_square, np.zeros(unit_square.nv + 1))

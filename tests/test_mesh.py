@@ -375,6 +375,15 @@ def test_project_to_domain(disk100):
     assert np.allclose(same, [0.2, 0.1])
 
 
+def test_projection_scratch_does_not_grow_with_the_boundary(traced_peak):
+    # the nearest-segment search takes its points in chunks sized by points
+    # times boundary edges
+    mesh = build_disk_mesh(400)
+    ang = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+    outside = 1.001 * np.column_stack([np.cos(ang), np.sin(ang)])
+    assert traced_peak(project_to_domain, mesh, outside) <= 2e6
+
+
 @settings(max_examples=30, deadline=None)
 @example(shape=None)
 @given(shape=st.one_of(

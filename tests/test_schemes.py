@@ -309,7 +309,7 @@ def test_prepare_keeps_no_per_point_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20e6
+    assert peak <= 10e6
     assert op.rhs_mat is op.traced.transport
     arrays = {name: value for name, value in vars(op.traced).items()
               if isinstance(value, np.ndarray)}
