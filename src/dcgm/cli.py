@@ -98,6 +98,8 @@ def _at_least(least: int, what: str):
 
 
 _parse_size = _at_least(MIN_BOUNDARY, "mesh size")
+_parse_grid = _at_least(2, "grid size")
+_parse_steps = _at_least(1, "n_steps")
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -137,7 +139,7 @@ def _add_bell_flags(p: argparse.ArgumentParser) -> None:
                    help="bell sharpness (default is the calibrated benchmark value)")
     p.add_argument("--x0", type=float, nargs=2, default=[0.35, 0.0],
                    metavar=("X", "Y"), help="initial bell center")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_parse_steps, default=None,
                    help="time steps per turn (default: N // 3)")
     _add_scheme_flags(p)
 
@@ -151,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mesh", help="generate a mesh file")
-    p.add_argument("--N", type=int, default=200, help="disk boundary vertices")
-    p.add_argument("--rect", type=int, nargs=2, metavar=("NX", "NY"),
+    p.add_argument("--N", type=_parse_size, default=200, help="disk boundary vertices")
+    p.add_argument("--rect", type=_parse_grid, nargs=2, metavar=("NX", "NY"),
                    help="rectangle grid instead of the disk")
     p.add_argument("--xmax", type=float, default=1.0)
     p.add_argument("--ymax", type=float, default=1.0)
@@ -185,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discont)
 
     p = sub.add_parser("heston", help="Heston forward-density run")
-    p.add_argument("--nx", type=int, default=60)
-    p.add_argument("--ny", type=int, default=60)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--nx", type=_parse_grid, default=60)
+    p.add_argument("--ny", type=_parse_grid, default=60)
+    p.add_argument("--steps", type=_parse_steps, default=300)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--strike", type=float, default=75.0)
     p.add_argument("--mu", type=float, default=50.0)
@@ -301,12 +303,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
         extra = args.func(args, out)
         _manifest(out, args, extra)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a failure before the first file leaves no directory behind
+        for d in made:
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
         return 1
     return 0
 

@@ -316,6 +316,8 @@ def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side has wrong length")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, not {tol!r}")
     max_iter = 10 * n
     norm_b = float(np.linalg.norm(b))
     if not np.isfinite(norm_b):
@@ -331,6 +333,8 @@ def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
         x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
         ax = A @ x
     res = start = float(np.linalg.norm(b - ax))
+    if not math.isfinite(start):
+        raise ValueError("start residual is not finite")
     total = 0
     broke = False
     for _ in range(3):
@@ -428,7 +432,8 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
     ``history``, when given and not empty, supplies the start in place of
     ``x0``, and a converged solution is added to it; it holds up to 16
     solutions.  ``precond(r)`` approximates A^-1 r (SPD for CG); it is
-    r / diag(A) when not given.  A non-finite right-hand side raises
+    r / diag(A) when not given.  A non-finite right-hand side or start
+    residual, or a ``tol`` that is not finite and > 0, raises
     ``ValueError``.
     """
     return _solve(A, b, tol, x0, _cg_sweep, history, precond, _CG_WINDOW)

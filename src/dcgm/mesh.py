@@ -2,14 +2,13 @@
 
 Meshes are plain vertex/connectivity arrays plus a few precomputed tables
 (areas, barycentric transforms, edge adjacency, a bucket grid of start
-triangles) used by assembly and by the point-location walk.  Each cell of
-the grid also records whether it lies inside the domain, outside it, or may
-be crossed by a free edge, one with a triangle on one side only; a test of
-which points are outside the mesh reads that map and walks only the points
-in crossed cells, with the answer of :func:`locate_point`.  Triangles are
-stored counterclockwise; boundary edges are stored oriented so that the
-domain lies on their left, which makes the outward normal of edge (a, b)
-proportional to (b_y - a_y, a_x - b_x).
+triangles) used by assembly and by the point-location walk.  The geometry's
+boundary is the free edges, those with a triangle on one side only: the
+walk, ``convex``, :func:`project_to_domain` and the map of which grid cells
+lie inside, outside or across it all read them; the labelled boundary edges
+carry boundary conditions and IO.  Triangles are stored counterclockwise,
+free and labelled edges with the domain on their left, which makes the
+outward normal of edge (a, b) proportional to (b_y - a_y, a_x - b_x).
 """
 
 from __future__ import annotations
@@ -54,13 +53,16 @@ class TriMesh:
     triangles : ndarray, shape (nt, 3)
         Vertex indices, counterclockwise.
     boundary_edges : ndarray, shape (nbe, 2)
-        Oriented boundary segments (domain on the left).
+        Oriented segments (domain on the left) for boundary conditions.
     boundary_labels : ndarray, shape (nbe,)
     regions : ndarray, shape (nt,)
     vertex_mass : ndarray, shape (nv,)
         Column sums of the consistent P1 mass matrix, |T|/3 summed over the
         triangles around each vertex; ``vertex_mass @ u`` integrates a P1
         field exactly.
+    convex : bool
+        Whether the free edges bound one convex polygon; the walk then takes
+        a step off a free edge as proof that a point is outside.
 
     Arrays are owned by the mesh and must not be mutated after construction;
     derived tables are computed once in ``__post_init__``.
@@ -129,6 +131,11 @@ class TriMesh:
         self._v0x, self._v0y = tri_xy[:, 0, 0].copy(), tri_xy[:, 0, 1].copy()
 
         self.neighbors = self._build_neighbors()
+        # the free edges, no triangle across them, as vertex pairs (a, b)
+        # with the domain on their left
+        k, j = np.nonzero(self.neighbors < 0)
+        self._free_edges = np.column_stack([self.triangles[k, (j + 1) % 3],
+                                            self.triangles[k, (j + 2) % 3]])
         self._cell_tri = self._build_cell_table(tri_xy.mean(axis=1))
         # triangles around each vertex: _vertex_tris[_vertex_start[v]:
         # _vertex_start[v + 1]], for the location tie-break
@@ -254,9 +261,7 @@ class TriMesh:
         side of the boundary, the side of its centre, which one walk finds.
         """
         lo, scale, g = self._grid
-        k, j = np.nonzero(self.neighbors < 0)
-        a = self.vertices[self.triangles[k, (j + 1) % 3]]
-        b = self.vertices[self.triangles[k, (j + 2) % 3]]
+        a, b = self.vertices[self._free_edges.T]
         box_lo = (np.minimum(a, b) - lo) * scale - _CELL_PAD
         box_hi = (np.maximum(a, b) - lo) * scale + _CELL_PAD
         first = np.clip(np.floor(box_lo), 0, g - 1).astype(np.int64)
@@ -294,44 +299,31 @@ class TriMesh:
         neigh[two] = one // 3
         return neigh.reshape(-1, 3)
 
-    def _boundary_loop(self) -> np.ndarray | None:
-        """Vertex sequence of the boundary if it is a single simple loop."""
-        if not self.boundary_edges.size:
-            return None
-        succ: dict[int, int] = {}
-        for a, b in self.boundary_edges:
-            a, b = int(a), int(b)
-            if a in succ:
-                return None
-            succ[a] = b
-        start = int(self.boundary_edges[0, 0])
-        loop = [start]
-        v = succ.get(start)
-        while v is not None and v != start and len(loop) <= len(succ):
-            loop.append(v)
-            v = succ.get(v)
-        if v != start or len(loop) != len(succ):
-            return None
-        return np.array(loop, dtype=np.int64)
-
     def _boundary_is_convex(self) -> bool:
-        loop = self._boundary_loop()
-        if loop is None:
+        """Whether the free edges bound one convex polygon: each boundary
+        vertex starts one and ends one, every turn to the next is left or
+        none, never back, and the turns add up to 2 pi, one loop's worth."""
+        a, b = self._free_edges.T
+        if not np.array_equal(np.unique(a), np.sort(b)):
             return False
-        p = self.vertices[loop]
-        a = np.roll(p, -1, axis=0) - p
-        b = np.roll(a, -1, axis=0)
-        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-        scale = float(np.max(a[:, 0] ** 2 + a[:, 1] ** 2))
-        return bool(np.all(cross >= -1e-12 * scale))
+        after = np.empty(self.nv, dtype=np.int64)
+        after[a] = np.arange(a.size)
+        d = self.vertices[b] - self.vertices[a]
+        e = d[after[b]]  # the free edge that follows each one
+        cross = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
+        dot = d[:, 0] * e[:, 0] + d[:, 1] * e[:, 1]
+        slack = 1e-12 * float(np.max(d[:, 0] ** 2 + d[:, 1] ** 2))
+        if np.any(cross < -slack) or np.any((cross <= slack) & (dot < 0.0)):
+            return False
+        return abs(float(np.arctan2(cross, dot).sum()) - 2.0 * math.pi) < math.pi
 
 
 # ----------------------------------------------------------------------
 # point location
 
-# (outside point, boundary edge) pairs project_to_domain searches at once;
-# bounds the (points, nbe) temporaries of the nearest-segment search
-# whatever the number of boundary edges
+# (outside point, free edge) pairs project_to_domain searches at once;
+# bounds the (points, free edges) temporaries of the nearest-segment search
+# whatever the number of free edges
 _PROJECT_PAIRS = 16384
 # edge points handled at once by _lowest_containing; bounds its candidate
 # temporaries, about 18 triangles per point
@@ -499,19 +491,18 @@ def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
 
     Accepts one point (2,) or a batch (m, 2) and returns the same shape.
     Points already in the mesh are returned unchanged; outside points are
-    pulled to the nearest location on the boundary polyline.
+    pulled to the nearest point of the free edges.
     """
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 2)
     out = pts.copy()
     outside = np.flatnonzero(_outside(mesh, pts))
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
+    a, b = mesh.vertices[mesh._free_edges.T]
     ab = b - a
+    # a free edge is a side of a triangle of positive area: never of length 0
     denom = ab[:, 0] ** 2 + ab[:, 1] ** 2
-    denom[denom == 0.0] = 1.0
-    chunk = max(1, _PROJECT_PAIRS // max(1, mesh.nbe))
+    chunk = max(1, _PROJECT_PAIRS // len(ab))
     for lo in range(0, outside.size, chunk):
         idx = outside[lo : lo + chunk]
         px = pts[idx, 0:1]

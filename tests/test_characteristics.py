@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcgm import characteristics
 from dcgm.characteristics import (VelocityField, build_traced_points,
@@ -13,7 +15,7 @@ from dcgm import mesh as mesh_module
 from dcgm.mesh import (build_disk_mesh, build_rect_mesh, locate_point,
                        project_to_domain)
 from dcgm.quadrature import midedge_rule, nine_point_rule
-from test_mesh import l_shaped_mesh, unlabelled
+from test_mesh import MOVED_L_SHAPES, annulus, l_shaped_mesh, unlabelled
 
 
 def test_rotation_closed_form():
@@ -157,18 +159,22 @@ def radial_field(rate: float) -> VelocityField:
 TRANSLATION = (uniform_field(0.6, 0.45),) * 2
 
 
-@pytest.mark.parametrize("mesh, fields, dt", [
-    (build_disk_mesh(30), TRANSLATION, 0.2),
-    (l_shaped_mesh(9), TRANSLATION, 0.2),
-    (build_rect_mesh(7, 6, 1.0, 0.8), TRANSLATION, 0.2),
+@pytest.mark.parametrize("mesh, fields, dt, leaves", [
+    (build_disk_mesh(30), TRANSLATION, 0.2, True),
+    (l_shaped_mesh(9), TRANSLATION, 0.2, True),
+    (build_rect_mesh(7, 6, 1.0, 0.8), TRANSLATION, 0.2, True),
     # most images land far past the bucket grid
-    (build_disk_mesh(30), (uniform_field(1.5, 1.2),) * 2, 1.0),
-    # a mesh without labelled boundary edges has nothing to project onto, so
+    (build_disk_mesh(30), (uniform_field(1.5, 1.2),) * 2, 1.0, True),
     # the field keeps the images read inside the disk and takes the others
     # out: contraction for the dual build, expansion for the primal one
-    (unlabelled(build_disk_mesh(30)), (radial_field(-1.0), radial_field(1.0)), 0.2),
-], ids=["disk", "l-shape", "rect", "far", "unlabelled"])
-def test_located_images_match_locate_project_locate(mesh, fields, dt, monkeypatch):
+    (unlabelled(build_disk_mesh(30)), (radial_field(-1.0), radial_field(1.0)), 0.2,
+     False),
+    # images read leave a mesh without labelled boundary edges, and are
+    # projected onto its free edges
+    (unlabelled(build_disk_mesh(30)), (rotation_field(),) * 2, 0.6, True),
+], ids=["disk", "l-shape", "rect", "far", "unlabelled", "unlabelled-rotation"])
+def test_located_images_match_locate_project_locate(mesh, fields, dt, leaves,
+                                                    monkeypatch):
     # blocks of a few triangles: each point is located on its own, so the
     # blocked build differs from the whole-array one only in the order its
     # transport is summed.  A translation pushes images out on one side
@@ -181,7 +187,7 @@ def test_located_images_match_locate_project_locate(mesh, fields, dt, monkeypatc
             tp = build_traced_points(mesh, field, rule, dt, dual=dual)
             want, fwd, bwd = _whole_array_transport(mesh, field, rule, dt, dual)
             read, unread = (fwd, bwd) if dual else (bwd, fwd)
-            assert unread.any() and read.any() == (mesh.nbe > 0)
+            assert unread.any() and read.any() == leaves
             np.testing.assert_array_equal(tp.fwd_projected, fwd)
             np.testing.assert_array_equal(tp.bwd_projected, bwd)
             assert np.mean(tp.fwd_projected) == np.mean(fwd)
@@ -223,3 +229,26 @@ def test_unread_images_are_walked_only_near_the_boundary(dual, monkeypatch):
     bound = n + 2 * outside + int(near.sum())
     assert 0 < outside and bound < 2 * n
     assert sum(walked) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(
+           st.builds(build_rect_mesh, st.integers(2, 12), st.integers(2, 12),
+                     st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+           st.builds(build_disk_mesh, st.integers(8, 60)),
+           st.builds(unlabelled, st.builds(build_disk_mesh, st.integers(8, 60))),
+           MOVED_L_SHAPES, st.builds(annulus, st.integers(30, 60), st.floats(0.3, 0.85))),
+       field=st.one_of(st.just(rotation_field()),
+                       st.builds(uniform_field, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                       st.builds(radial_field, st.floats(-1.0, 1.0))),
+       dt=st.floats(0.2, 1.0), dual=st.booleans(),
+       rule=st.sampled_from([midedge_rule(), nine_point_rule()]))
+def test_transport_keeps_the_mass_identity(mesh, field, dt, dual, rule):
+    # images that leave a mesh, one without labels or with a hole too, are
+    # projected onto its free edges and located there, so the dual
+    # transport's column sums and the primal one's row sums are the vertex
+    # masses, whatever the field
+    tp = build_traced_points(mesh, field, rule, dt, dual=dual)
+    sums = np.asarray(tp.transport.sum(axis=0 if dual else 1)).ravel()
+    np.testing.assert_allclose(sums, mesh.vertex_mass, rtol=1e-13, atol=0.0)
+    assert tp.transport.data.min() >= 0.0

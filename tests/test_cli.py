@@ -240,9 +240,34 @@ def test_bell_rejects_zero_steps(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
-    # a disk of 5 boundary points is rejected by the mesher
-    code = run_cli(["--out", str(tmp_path / "x"), "mesh", "--N", "5"])
+    # a negative diffusion coefficient is rejected by the library
+    out = tmp_path / "x"
+    code = run_cli(["--out", str(out), "bell", "--N", "40", "--nu", "-1"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.strip()
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["mesh", "--N", "5"], 2),
+    (["mesh", "--rect", "1", "5"], 2),
+    (["heston", "--nx", "1", "--ny", "5", "--steps", "2"], 2),
+    (["heston", "--nx", "5", "--ny", "5", "--steps", "0"], 2),
+    (["bell", "--N", "40", "--steps", "0"], 2),
+    (["bell", "--N", "40", "--nu", "-1"], 1),
+    (["heston", "--nx", "5", "--ny", "5", "--steps", "2", "--T", "-1"], 1),
+    (["discont", "--N", "40", "--solver-tol", "0"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_failed_command_leaves_no_directory(tmp_path, args, code):
+    # argparse refuses a size or step count before --out is made; a value
+    # the library refuses removes the --out it made, with all its parents
+    out = tmp_path / "new" / "out"
+    assert run_cli(["--out", str(out)] + args) == code
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_command_keeps_a_directory_it_did_not_make(tmp_path):
+    assert run_cli(["--out", str(tmp_path), "bell", "--N", "40", "--nu", "-1"]) == 1
+    assert tmp_path.is_dir()

@@ -305,6 +305,32 @@ def test_non_finite_rhs_fails_at_once(disk60):
                 solve(M, b)
 
 
+def spd_tridiagonal(n: int) -> sp.csr_matrix:
+    off = -np.ones(n - 1)
+    return sp.diags([off, 4.0 * np.ones(n), off], [-1, 0, 1], format="csr")
+
+
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve])
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -1.0, np.nan])
+def test_bad_tolerance_fails_at_once(solve, tol):
+    # an infinite tol took x = 0 as converged; 0, -1 and NaN ran iterations
+    # that no residual could stop
+    A = spd_tridiagonal(1000)
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        solve(A, np.ones(1000), tol=tol)
+
+
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_fails_at_once(solve, bad):
+    # a NaN start ran all 10 n iterations and reported a NaN residual
+    A = spd_tridiagonal(1000)
+    x0 = np.zeros(1000)
+    x0[17] = bad
+    with pytest.raises(ValueError, match="start residual is not finite"):
+        solve(A, np.ones(1000), x0=x0)
+
+
 # the level-block factor: an exact solve with a P1 matrix in the
 # breadth-first level order of its graph, used as the start and the
 # preconditioner

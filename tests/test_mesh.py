@@ -300,23 +300,67 @@ def test_locate_many_edge_points_matches_scan():
     assert tri.tolist() == [_scan_for_point(mesh, p)[0] for p in pts]
 
 
+def mesh_of(vertices, tris, labelled=None) -> TriMesh:
+    """The mesh of the triangles ``tris``, without the vertices they do not
+    use.  The labelled boundary edges are ``labelled`` (vertex pairs in the
+    numbering of ``vertices``), or by default every edge of one triangle."""
+    used = np.unique(tris)
+    renumber = np.full(len(vertices), -1)
+    renumber[used] = np.arange(used.size)
+    tris = renumber[tris]
+    if labelled is None:
+        # an edge used by one triangle is a boundary edge; keeping the
+        # direction it has in that counterclockwise triangle puts the domain
+        # on its left
+        directed = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        _, inverse, count = np.unique(np.sort(directed, axis=1), axis=0,
+                                      return_inverse=True, return_counts=True)
+        edges = directed[count[inverse.ravel()] == 1]
+    else:
+        edges = renumber[labelled]
+    return TriMesh(vertices[used], tris, edges, np.ones(len(edges), dtype=np.int64))
+
+
 def l_shaped_mesh(n: int = 9) -> TriMesh:
     """Unit square without its upper-right quadrant: a reflex corner at
     (0.5, 0.5), so the domain is not convex."""
     square = build_rect_mesh(n, n, 1.0, 1.0)
     centroids = square.vertices[square.triangles].mean(axis=1)
-    tris = square.triangles[~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5))]
-    used = np.unique(tris)
-    renumber = np.full(square.nv, -1)
-    renumber[used] = np.arange(used.size)
-    tris = renumber[tris]
-    # an edge used by one triangle is a boundary edge; keeping the direction
-    # it has in that counterclockwise triangle puts the domain on its left
-    directed = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    _, inverse, count = np.unique(np.sort(directed, axis=1), axis=0,
-                                  return_inverse=True, return_counts=True)
-    edges = directed[count[inverse.ravel()] == 1]
-    return TriMesh(square.vertices[used], tris, edges, np.ones(len(edges), dtype=np.int64))
+    return mesh_of(square.vertices, square.triangles[
+        ~((centroids[:, 0] > 0.5) & (centroids[:, 1] > 0.5))])
+
+
+def annulus(n: int, r_in: float) -> TriMesh:
+    """The disk of ``n`` boundary vertices without its triangles whose
+    centroid lies within ``r_in`` of the centre, labelled on the outer
+    circle only: its hole is bounded by free edges that carry no label."""
+    disk = build_disk_mesh(n)
+    centroids = disk.vertices[disk.triangles].mean(axis=1)
+    return mesh_of(disk.vertices, disk.triangles[np.hypot(*centroids.T) >= r_in],
+                   disk.boundary_edges)
+
+
+def slit_square(half: int = 3) -> TriMesh:
+    """The unit square cut from (0.5, 0) to (0.5, 0.5): the triangles right
+    of the cut take their own copies of the vertices on it, below its tip,
+    so the cut is two free edges deep, one up and one down."""
+    n = 2 * half + 1
+    square = build_rect_mesh(n, n, 1.0, 1.0)
+    x, y = square.vertices.T
+    cut = np.flatnonzero((x == 0.5) & (y < 0.5))
+    copy = np.arange(square.nv)
+    copy[cut] = square.nv + np.arange(cut.size)
+    tris = square.triangles.copy()
+    right = square.vertices[tris].mean(axis=1)[:, 0] > 0.5
+    tris[right] = copy[tris[right]]
+    return mesh_of(np.vstack([square.vertices, square.vertices[cut]]), tris)
+
+
+def two_squares(n: int = 4) -> TriMesh:
+    """Two unit squares one unit apart: two loops of free edges."""
+    square = build_rect_mesh(n, n, 1.0, 1.0)
+    return mesh_of(np.vstack([square.vertices, square.vertices + [2.0, 0.0]]),
+                   np.vstack([square.triangles, square.triangles + square.nv]))
 
 
 def segment_distance(p, a, b):
@@ -513,12 +557,17 @@ def moved(mesh: TriMesh, stretch, shift) -> TriMesh:
                    mesh.boundary_edges, mesh.boundary_labels)
 
 
-def free_edges(mesh: TriMesh):
-    """End points (a, b) of the edges that belong to one triangle, oriented
-    so that the domain lies on their left."""
+def free_edge_pairs(mesh: TriMesh):
+    """Vertices (a, b) of the edges that belong to one triangle, oriented so
+    that the domain lies on their left."""
     k, j = np.nonzero(edge_dictionary_neighbors(mesh) < 0)
-    return (mesh.vertices[mesh.triangles[k, (j + 1) % 3]],
-            mesh.vertices[mesh.triangles[k, (j + 2) % 3]])
+    return mesh.triangles[k, (j + 1) % 3], mesh.triangles[k, (j + 2) % 3]
+
+
+def free_edges(mesh: TriMesh):
+    """End points (a, b) of the free edges."""
+    a, b = free_edge_pairs(mesh)
+    return mesh.vertices[a], mesh.vertices[b]
 
 
 def segments_meet_boxes(a, b, low, high):
@@ -665,3 +714,89 @@ def test_outside_test_matches_locate(probe):
     mesh, pts = probe
     np.testing.assert_array_equal(mesh_module._outside(mesh, pts),
                                   locate_point(mesh, pts)[0] < 0)
+
+
+MOVED_L_SHAPES = st.builds(
+    moved, st.builds(l_shaped_mesh, st.integers(2, 12)),
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)).map(np.array),
+    st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array))
+# meshes whose free edges are not their labelled boundary edges, or are
+# more than one loop
+ANNULI = st.builds(annulus, st.integers(30, 120), st.floats(0.3, 0.85))
+FREE_EDGE_MESHES = st.one_of(ANNULI, st.builds(slit_square, st.integers(1, 6)),
+                             st.builds(two_squares, st.integers(2, 6)))
+
+
+def convex_by_definition(mesh: TriMesh) -> bool:
+    """The free edges form one closed loop, and every vertex lies on the
+    left of, or on, the line of every free edge."""
+    a, b = free_edge_pairs(mesh)
+    after = dict(zip(a.tolist(), b.tolist()))
+    v, steps = after[int(a[0])], 1
+    while v in after and v != a[0] and steps <= len(a):
+        v, steps = after[v], steps + 1
+    if len(after) != len(a) or v != a[0] or steps != len(a):
+        return False
+    d = mesh.vertices[b] - mesh.vertices[a]
+    rel = mesh.vertices[:, None, :] - mesh.vertices[a][None]
+    cross = d[:, 0] * rel[..., 1] - d[:, 1] * rel[..., 0]
+    size = np.ptp(mesh.vertices, axis=0).max()
+    return bool(np.all(cross >= -1e-9 * size * np.hypot(d[:, 0], d[:, 1])))
+
+
+@settings(max_examples=80, deadline=None)
+@example(mesh=slit_square())
+@example(mesh=two_squares())
+@example(mesh=annulus(100, 0.9))
+@example(mesh=unlabelled(build_disk_mesh(40)))
+@given(mesh=st.one_of(
+    st.builds(build_rect_mesh, st.integers(2, 12), st.integers(2, 12),
+              st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    st.builds(build_disk_mesh, st.integers(8, 120)),
+    st.builds(unlabelled, st.builds(build_disk_mesh, st.integers(8, 120))),
+    MOVED_L_SHAPES, FREE_EDGE_MESHES))
+def test_convex_matches_its_definition(mesh):
+    assert mesh.convex == convex_by_definition(mesh)
+
+
+def nearest_on_segments(pts, a, b):
+    """Distance from each point to the nearest of the segments a[i] b[i]."""
+    d = b - a
+    t = ((pts[:, None] - a) * d).sum(axis=2) / (d * d).sum(axis=1)
+    gap = a + np.clip(t, 0.0, 1.0)[..., None] * d - pts[:, None]
+    return np.hypot(gap[..., 0], gap[..., 1]).min(axis=1)
+
+
+@settings(max_examples=15, deadline=None)
+@example(mesh=annulus(100, 0.9), seed=1)
+@example(mesh=slit_square(), seed=1)
+@given(mesh=FREE_EDGE_MESHES, seed=st.integers(0, 2**32 - 1))
+def test_location_and_projection_read_the_free_edges(mesh, seed):
+    # a step off the free edges of a hole or a slit proves nothing, and a
+    # point in a hole is pulled to the hole's rim when that is nearest
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pad = 0.1 * (hi - lo)
+    pts = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(4000, 2))
+    want = np.array([-1 if (w := _scan_for_point(mesh, p)) is None else w[0]
+                     for p in pts])
+    np.testing.assert_array_equal(locate_point(mesh, pts)[0], want)
+    outside = pts[want < 0]
+    assert outside.size
+    pulled = project_to_domain(mesh, outside)
+    assert np.all(locate_point(mesh, pulled)[0] >= 0)
+    np.testing.assert_allclose(np.hypot(*(pulled - outside).T),
+                               nearest_on_segments(outside, *free_edges(mesh)),
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_a_point_in_the_hole_projects_to_the_inner_rim():
+    mesh = annulus(40, 0.5)
+    pulled = project_to_domain(mesh, np.array([0.1, 0.0]))
+    assert np.hypot(*pulled) == pytest.approx(0.494, abs=1e-3)
+    assert locate_point(mesh, pulled) is not None
+
+
+def test_an_unlabelled_mesh_projects_onto_its_free_edges():
+    mesh = unlabelled(build_disk_mesh(40))
+    np.testing.assert_array_equal(project_to_domain(mesh, np.array([1.2, 0.0])),
+                                  [1.0, 0.0])

@@ -24,6 +24,7 @@ from dcgm.schemes import (CflWarning, SchemeConfig, StepDiagnostics, StepError,
                           cfl_dt_guideline, dcgm_dirichlet_prepare,
                           dcgm_dirichlet_step, dcgm_prepare, dcgm_step,
                           pcgm_step, supg_prepare, supg_step)
+from test_mesh import unlabelled
 
 
 CFG = SchemeConfig(nu=1e-3, dt=0.05)
@@ -53,6 +54,18 @@ def test_dcgm_single_step_conserves(disk100):
     u1, diag = dcgm_step(op, u0)
     assert abs(integral(u1) - m0) <= 1e-12 * abs(m0)
     assert diag.mass == pytest.approx(integral(u1), rel=1e-14)
+    assert diag.solver.converged
+
+
+def test_dcgm_runs_on_an_unlabelled_mesh():
+    # images that leave a mesh without labelled boundary edges are projected
+    # onto its free edges, where the prepare used to find nothing
+    mesh = unlabelled(build_disk_mesh(40))
+    op = dcgm_prepare(mesh, rotation_field(), SchemeConfig(nu=1e-3, dt=0.6))
+    assert op.projected_fraction > 0.0
+    u0 = bump(mesh)
+    u1, diag = dcgm_step(op, u0)
+    assert abs(integral(u1) - integral(u0)) <= 1e-12 * integral(u0)
     assert diag.solver.converged
 
 
