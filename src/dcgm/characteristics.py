@@ -208,10 +208,10 @@ def _read_images(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
 
 def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
                      dt: float, sigma: float, dual: bool, t0: int, t1: int,
-                     projected: dict) -> sp.coo_matrix:
-    """The transport of the quadrature nodes of triangles t0 .. t1 - 1, as
-    coordinates; the flags of their images go into ``projected``.  The
-    images are freed before the product is formed."""
+                     projected: dict) -> sp.csr_matrix:
+    """The transport of the quadrature nodes of triangles t0 .. t1 - 1; the
+    flags of their images go into ``projected``.  The images are freed
+    before the product is formed."""
     nq = len(rule)
     image = _read_images(mesh, field, rule, dt, sigma, dual, t0, t1, projected)
     src = (np.repeat(np.arange(t0, t1, dtype=np.int64), nq),
@@ -223,7 +223,7 @@ def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
     w = (mesh.areas[t0:t1, None] * rule.weights[None, :]).reshape(-1, 1)
     np.multiply(left[1], w, out=left[1])
     return (_interpolation_matrix(mesh, *left).T
-            @ _interpolation_matrix(mesh, *right)).tocoo()
+            @ _interpolation_matrix(mesh, *right))
 
 
 def build_traced_points(
@@ -243,23 +243,19 @@ def build_traced_points(
     characteristic; only its outside images are projected.  The flags of the
     direction not read come from the mesh's outside test.  The work runs in
     blocks of whole triangles, about ``_BUILD_BLOCK`` points each: a block's
-    transport is one sparse product, kept as coordinates, and one sum at the
-    end gives the matrix.  Each point is located on its own, so the blocks
-    change only the order in which the transport is summed.
+    transport is one sparse product, added to a running sum as soon as it is
+    built.  Each point is located on its own, so the blocks change only the
+    order in which the transport is summed.
     """
     nq = len(rule)
     nt = mesh.nt
     projected = {side: np.empty(nt * nq, dtype=bool) for side in ("fwd", "bwd")}
     per_block = max(1, _BUILD_BLOCK // nq)
-    blocks = [_transport_block(mesh, field, rule, dt, sigma, dual,
-                               t0, min(t0 + per_block, nt), projected)
-              for t0 in range(0, nt, per_block)]
-    transport = sp.csr_matrix(
-        (np.concatenate([b.data for b in blocks]),
-         (np.concatenate([b.row for b in blocks]),
-          np.concatenate([b.col for b in blocks]))),
-        shape=(mesh.nv, mesh.nv),
-    )
+    transport = sp.csr_matrix((mesh.nv, mesh.nv))
+    for t0 in range(0, nt, per_block):
+        transport = transport + _transport_block(
+            mesh, field, rule, dt, sigma, dual, t0, min(t0 + per_block, nt),
+            projected)
     return TracedPoints(
         n_points=nt * nq,
         fwd_projected=projected["fwd"],

@@ -53,7 +53,8 @@ class TriMesh:
     triangles : ndarray, shape (nt, 3)
         Vertex indices, counterclockwise.
     boundary_edges : ndarray, shape (nbe, 2)
-        Oriented segments (domain on the left) for boundary conditions.
+        Free edges for boundary conditions, each labelled once, oriented
+        with the domain on the left.
     boundary_labels : ndarray, shape (nbe,)
     regions : ndarray, shape (nt,)
     vertex_mass : ndarray, shape (nv,)
@@ -100,13 +101,12 @@ class TriMesh:
             raise ValueError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (nt, 3)")
+        if self.triangles.shape[0] == 0:
+            raise ValueError("a mesh needs at least one triangle")
         for name, idx in (("triangle", self.triangles),
                           ("boundary edge", self.boundary_edges)):
             if idx.size and (idx.min() < 0 or idx.max() >= self.nv):
                 raise ValueError(f"{name} vertex index out of range")
-        ends = self.vertices[self.boundary_edges]  # (nbe, 2, 2)
-        if np.any(np.all(ends[:, 0] == ends[:, 1], axis=1)):
-            raise ValueError("boundary edge of zero length")
         if self.boundary_labels.shape != (self.boundary_edges.shape[0],):
             raise ValueError("one label per boundary edge required")
         if self.regions.shape != (self.triangles.shape[0],):
@@ -136,6 +136,17 @@ class TriMesh:
         k, j = np.nonzero(self.neighbors < 0)
         self._free_edges = np.column_stack([self.triangles[k, (j + 1) % 3],
                                             self.triangles[k, (j + 2) % 3]])
+        # each labelled edge is a free edge, in its orientation, labelled once
+        key = self.boundary_edges @ np.array([self.nv, 1])
+        free = np.isin(key, self._free_edges @ np.array([self.nv, 1]))
+        first = np.zeros(key.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        if not np.all(free & first):
+            i = np.flatnonzero(~(free & first))[0]
+            why = ("labelled twice" if free[i]
+                   else "not a free edge with the domain on its left")
+            raise ValueError("boundary edge ({}, {}) is {}".format(
+                *self.boundary_edges[i], why))
         self._cell_tri = self._build_cell_table(tri_xy.mean(axis=1))
         # triangles around each vertex: _vertex_tris[_vertex_start[v]:
         # _vertex_start[v + 1]], for the location tie-break
@@ -148,8 +159,7 @@ class TriMesh:
             flat, weights=np.repeat(self.areas / 3.0, 3), minlength=self.nv
         )
         self.is_boundary_vertex = np.zeros(self.nv, dtype=bool)
-        if self.boundary_edges.size:
-            self.is_boundary_vertex[self.boundary_edges.ravel()] = True
+        self.is_boundary_vertex[self.boundary_edges.ravel()] = True
         self.convex = self._boundary_is_convex()
         self._cell_side = self._build_cell_sides()
         self._h_max = None
@@ -669,9 +679,7 @@ def load_mesh(path) -> TriMesh:
         raise ValueError("bad mesh header")
     vertices = np.array([float(t) for t in take(2 * nv)]).reshape(nv, 2)
     tri_rec = np.array([int(t) for t in take(4 * nt)]).reshape(nt, 4)
-    be_rec = np.array([int(t) for t in take(3 * nbe)]).reshape(nbe, 3) if nbe else (
-        np.zeros((0, 3), dtype=int)
-    )
+    be_rec = np.array([int(t) for t in take(3 * nbe)], dtype=np.int64).reshape(nbe, 3)
     if pos != len(tokens):
         raise ValueError("trailing data in mesh file")
 
@@ -688,17 +696,10 @@ def load_mesh(path) -> TriMesh:
     if np.any(flip):
         triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    if nbe:
-        edges = be_rec[:, :2] - 1
-        labels = be_rec[:, 2]
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        labels = np.zeros(0, dtype=np.int64)
-
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=edges,
-        boundary_labels=labels,
+        boundary_edges=be_rec[:, :2] - 1,
+        boundary_labels=be_rec[:, 2],
         regions=regions,
     )

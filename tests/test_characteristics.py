@@ -231,6 +231,24 @@ def test_unread_images_are_walked_only_near_the_boundary(dual, monkeypatch):
     assert sum(walked) <= bound
 
 
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])
+def test_transport_build_scratch_is_bounded(dual, monkeypatch, traced_peak):
+    # each block's product joins a running sum as it is built, so the peak
+    # stays near what the result keeps however many blocks there are
+    monkeypatch.setattr(characteristics, "_BUILD_BLOCK", 4096)
+    mesh = build_disk_mesh(400)
+    built = []
+    peak = traced_peak(lambda: built.append(build_traced_points(
+        mesh, rotation_field(), nine_point_rule(), 2.0 * math.pi / 133,
+        dual=dual)))
+    tp = built[0]
+    t = tp.transport
+    assert tp.n_points > 20 * 4096 and t.has_canonical_format
+    kept = sum(a.nbytes for a in (t.data, t.indices, t.indptr,
+                                  tp.fwd_projected, tp.bwd_projected))
+    assert peak <= 2.5 * kept
+
+
 @settings(max_examples=40, deadline=None)
 @given(mesh=st.one_of(
            st.builds(build_rect_mesh, st.integers(2, 12), st.integers(2, 12),

@@ -1,5 +1,9 @@
 """Mesh construction, geometry, point location, and file round-trips."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,9 +166,13 @@ def test_ccw_required():
 @pytest.mark.parametrize("edges, vertex, match", [
     ([[0, -1]], None, "boundary edge vertex index out of range"),
     ([[0, 99]], None, "boundary edge vertex index out of range"),
-    ([[0, 0]], None, "boundary edge of zero length"),
+    ([[0, 0]], None, r"boundary edge \(0, 0\) is not a free edge"),
     (None, [np.nan, 0.5], "vertex coordinates must be finite"),
-], ids=["negative-index", "index-past-nv", "zero-length-edge", "nan-vertex"])
+    ([[0, 4], [4, 0]], None, r"boundary edge \(0, 4\) is not a free edge"),
+    ([[0, 1], [2, 1]], None, r"boundary edge \(2, 1\) is not a free edge"),
+    ([[0, 1], [1, 2], [0, 1]], None, r"boundary edge \(0, 1\) is labelled twice"),
+], ids=["negative-index", "index-past-nv", "zero-length-edge", "nan-vertex",
+        "interior-edge", "reversed-ring-edge", "repeated-edge"])
 def test_bad_input_rejected_at_construction(edges, vertex, match):
     m = build_rect_mesh(3, 3, 1.0, 1.0)
     verts = m.vertices.copy()
@@ -175,6 +183,21 @@ def test_bad_input_rejected_at_construction(edges, vertex, match):
         verts[4] = vertex
     with pytest.raises(ValueError, match=match):
         TriMesh(verts, m.triangles, be, labels)
+
+
+def test_a_mesh_with_no_triangles_is_refused():
+    # in a child process with a timeout, so that a construction that never
+    # returns fails the test instead of stalling the suite
+    code = ("import numpy as np\nfrom dcgm.mesh import TriMesh\ntry:\n"
+            "    TriMesh(np.zeros((3, 2)), np.zeros((0, 3), int),"
+            " np.zeros((0, 2), int), np.zeros(0, int))\n"
+            "except ValueError as e:\n    print(e)\n")
+    src = str(Path(mesh_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=10)
+    assert out.stdout.strip() == "a mesh needs at least one triangle"
 
 
 def test_edge_in_three_triangles_rejected():
@@ -426,26 +449,6 @@ def test_projection_scratch_does_not_grow_with_the_boundary(traced_peak):
     ang = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
     outside = 1.001 * np.column_stack([np.cos(ang), np.sin(ang)])
     assert traced_peak(project_to_domain, mesh, outside) <= 2e6
-
-
-@settings(max_examples=30, deadline=None)
-@example(shape=None)
-@given(shape=st.one_of(
-    st.none(),
-    st.tuples(st.integers(2, 12), st.integers(2, 12),
-              st.floats(0.01, 100.0), st.floats(0.01, 100.0))))
-def test_save_load_round_trip(tmp_path_factory, disk60, shape):
-    mesh = disk60 if shape is None else build_rect_mesh(*shape)
-    path = tmp_path_factory.mktemp("mesh") / "round.msh"
-    save_mesh(mesh, path)
-    again = load_mesh(path)
-    assert np.array_equal(again.vertices, mesh.vertices)
-    assert np.array_equal(again.triangles, mesh.triangles)
-    assert np.array_equal(again.boundary_edges, mesh.boundary_edges)
-    assert np.array_equal(again.boundary_labels, mesh.boundary_labels)
-    assert np.array_equal(again.neighbors, mesh.neighbors)
-    assert again.convex == mesh.convex
-    assert np.array_equal(again._cell_side, mesh._cell_side)
 
 
 def test_load_flips_clockwise(tmp_path):
@@ -725,6 +728,36 @@ MOVED_L_SHAPES = st.builds(
 ANNULI = st.builds(annulus, st.integers(30, 120), st.floats(0.3, 0.85))
 FREE_EDGE_MESHES = st.one_of(ANNULI, st.builds(slit_square, st.integers(1, 6)),
                              st.builds(two_squares, st.integers(2, 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@example(mesh=build_disk_mesh(60))
+@given(mesh=st.one_of(
+    st.builds(build_rect_mesh, st.integers(2, 12), st.integers(2, 12),
+              st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    ANNULI, st.builds(l_shaped_mesh, st.integers(2, 12)),
+    st.builds(slit_square, st.integers(1, 6)),
+    st.builds(unlabelled, st.builds(build_disk_mesh, st.integers(8, 120))),
+    st.builds(moved, st.builds(build_rect_mesh, st.integers(2, 12),
+                               st.integers(2, 12), st.just(1.0), st.just(1.0)),
+              st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)).map(np.array),
+              st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array))))
+def test_save_load_round_trip(tmp_path_factory, mesh):
+    # region tags of both signs, so that their round trip shows
+    mesh = TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges,
+                   mesh.boundary_labels, np.arange(mesh.nt) % 7 - 3)
+    path = tmp_path_factory.mktemp("mesh") / "round.msh"
+    save_mesh(mesh, path)
+    again = load_mesh(path)
+    assert np.array_equal(again.vertices, mesh.vertices)
+    assert np.array_equal(again.triangles, mesh.triangles)
+    assert np.array_equal(again.boundary_edges, mesh.boundary_edges)
+    assert np.array_equal(again.boundary_labels, mesh.boundary_labels)
+    assert np.array_equal(again.regions, mesh.regions)
+    assert np.array_equal(again.neighbors, mesh.neighbors)
+    assert np.array_equal(again._free_edges, mesh._free_edges)
+    assert again.convex == mesh.convex
+    assert np.array_equal(again._cell_side, mesh._cell_side)
 
 
 def convex_by_definition(mesh: TriMesh) -> bool:
