@@ -192,6 +192,8 @@ def _read_images(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
     points = slice(t0 * nq, t1 * nq)
     src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
     fwd, bwd = _trace(field, src, dt, sigma, (+1, -1))
+    if not (np.isfinite(fwd).all() and np.isfinite(bwd).all()):
+        raise ValueError("the velocity field gives an image that is not finite")
     read, images, other = ("fwd", fwd, bwd) if dual else ("bwd", bwd, fwd)
     projected["bwd" if dual else "fwd"][points] = _outside(mesh, other)
     tri, bary = locate_point(mesh, images)

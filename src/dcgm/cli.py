@@ -300,6 +300,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "dirichlet", False) and args.scheme != "dcgm":
             parser.error(f"--dirichlet runs the dcgm scheme only, not {args.scheme}")
+        if args.command == "convergence" and len(args.N) < 3:
+            parser.error("convergence needs at least 3 mesh sizes in --N")
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)

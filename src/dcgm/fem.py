@@ -56,10 +56,12 @@ def interpolate(mesh: TriMesh, f) -> FieldP1:
 
     ``f`` may be vectorized over numpy arrays; a callable that rejects them
     with TypeError or ValueError is evaluated pointwise, and any other error
-    propagates.
+    propagates.  A value that is not finite is refused.
     """
-    return FieldP1(mesh, _call_on_points(f, mesh.vertices[:, 0],
-                                         mesh.vertices[:, 1]))
+    values = _call_on_points(f, mesh.vertices[:, 0], mesh.vertices[:, 1])
+    if not np.isfinite(values).all():
+        raise ValueError("f gives a value that is not finite at a vertex")
+    return FieldP1(mesh, values)
 
 
 def evaluate(field: FieldP1, loc) -> float:

@@ -85,7 +85,7 @@ class HestonParams:
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("kappa", "theta", "lam", "sigma", "sigma_v"):
+        for name in ("kappa", "theta", "lam", "sigma", "sigma_v", "strike"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
         if abs(self.rho) > 1.0:

@@ -401,6 +401,11 @@ def locate_point(mesh: TriMesh, point, hint=None):
     return tri, bary
 
 
+# Kept apart from locate_point(...)[0] >= 0, which gives the same flags, for
+# time: on the 60x60 Heston rectangle all 3 249 cell centres that
+# _build_cell_sides walks lie on an edge and take the lowest-index
+# tie-break, 7.1 against 0.36 ms in a 3.9 ms build; on the N = 400 disk, 83
+# of 12 217 do, 2.5 against 2.0 ms (best of 7, shared 2-vCPU x86_64 VM).
 def _found(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
     """``locate_point(mesh, pts)[0] >= 0``, without the tie-break."""
     found = np.empty(pts.shape[0], dtype=bool)
@@ -501,11 +506,14 @@ def project_to_domain(mesh: TriMesh, point) -> np.ndarray:
 
     Accepts one point (2,) or a batch (m, 2) and returns the same shape.
     Points already in the mesh are returned unchanged; outside points are
-    pulled to the nearest point of the free edges.
+    pulled to the nearest point of the free edges.  A point that is not
+    finite has no closest point and is refused.
     """
     pts = np.asarray(point, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise ValueError("points to project must be finite")
     out = pts.copy()
     outside = np.flatnonzero(_outside(mesh, pts))
     a, b = mesh.vertices[mesh._free_edges.T]

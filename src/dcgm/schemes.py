@@ -67,7 +67,6 @@ __all__ = [
     "DcgmOperator",
     "dcgm_prepare",
     "dcgm_step",
-    "DirichletOperator",
     "dcgm_dirichlet_prepare",
     "dcgm_dirichlet_step",
     "pcgm_step",
@@ -147,7 +146,8 @@ class LinearStep:
     and the factor preconditions the Krylov pass that runs only when that
     start misses the tolerance.  Without a factor every solve is
     preconditioned with Jacobi, r / diag(lhs), with the diagonal taken once
-    here.
+    here.  ``lift``, when set, carries imposed boundary values into the
+    right-hand side (see :func:`dcgm_dirichlet_prepare`).
     """
 
     mesh: TriMesh
@@ -157,6 +157,7 @@ class LinearStep:
     solver_tol: float
     projected_fraction: float
     factor: Callable | None = field(default=None, kw_only=True)
+    lift: sp.csr_matrix | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         self._jacobi = _jacobi(self.lhs)
@@ -218,18 +219,17 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
     the solve's ``energy``, which reads the product its final residual made;
     otherwise it is :func:`~dcgm.fem.nu_dt_norm` of the new field.
 
-    With imposed values ``g`` (a vertex vector; Dirichlet operators only) the
-    unknowns are ``op.interior``: ``op.coupling`` moves g to the right-hand
-    side and g fills the boundary entries of the result.
+    Imposed values ``g``, one per boundary vertex, enter the right-hand side
+    through ``op.lift`` and are copied into the boundary entries of x.
     """
     if u_prev.mesh is not op.mesh:
         raise ValueError("field lives on a different mesh than the operator")
+    if g is None and op.lift is not None:
+        raise ValueError("an operator with a lift is stepped by dcgm_dirichlet_step")
     rhs = op.rhs_mat @ u_prev.coeffs
-    x0 = u_prev.coeffs
     if g is not None:
-        rhs = rhs - op.coupling @ g[op.boundary]
-        x0 = x0[op.interior]
-    precond = op._jacobi
+        rhs += op.lift @ g
+    x0, precond = u_prev.coeffs, op._jacobi
     if op.factor is not None:
         x0, history, precond = op.factor(rhs), None, op.factor
     x, report = solve(op.lhs, rhs, tol=op.solver_tol, x0=x0, history=history,
@@ -237,9 +237,7 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
     if not report.converged:
         raise StepError(f"{label} step solve failed", report)
     if g is not None:
-        full = g.copy()
-        full[op.interior] = x
-        x = full
+        x[op.mesh.is_boundary_vertex] = g
     u_new = FieldP1(op.mesh, x)
     if op.form is op.lhs:
         norm = math.sqrt(report.energy)
@@ -372,87 +370,58 @@ def centered_step(op: LinearStep, u_prev: FieldP1,
 
 def _boundary_flux_matrix(mesh: TriMesh, field: VelocityField) -> sp.csr_matrix:
     """B_ij = int over the boundary of (a.n) phi_i phi_j, 2-point Gauss per
-    edge.  Only boundary-vertex pairs receive entries."""
-    a = mesh.vertices[mesh.boundary_edges[:, 0]]
-    b = mesh.vertices[mesh.boundary_edges[:, 1]]
+    edge, summed from one 2x2 block per boundary edge."""
+    edges = mesh.boundary_edges
+    a, b = mesh.vertices[edges.T]
     tang = b - a
     length = np.sqrt(tang[:, 0] ** 2 + tang[:, 1] ** 2)
     # domain lies left of the oriented edge, so the outward normal is the
     # clockwise rotation of the tangent
     normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
-    s_nodes = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-    rows, cols, vals = [], [], []
-    for s in s_nodes:
-        pts = a + s * tang
-        ax, ay = field.value(pts[:, 0], pts[:, 1])
-        an = (np.broadcast_to(np.asarray(ax, dtype=float), length.shape) * normal[:, 0]
-              + np.broadcast_to(np.asarray(ay, dtype=float), length.shape) * normal[:, 1])
-        phi = (1.0 - s, s)
-        factor = 0.5 * length * an
-        for li, pi in enumerate(phi):
-            for lj, pj in enumerate(phi):
-                rows.append(mesh.boundary_edges[:, li])
-                cols.append(mesh.boundary_edges[:, lj])
-                vals.append(factor * pi * pj)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.nv, mesh.nv),
-    )
-
-
-@dataclass(eq=False)
-class DirichletOperator(LinearStep):
-    """Characteristic step with strongly imposed boundary values.
-
-    The unknowns are the interior vertices: ``lhs`` is the interior block of
-    the flux-corrected system matrix, ``rhs_mat`` the interior rows of the
-    dual transport, and ``coupling`` the interior-by-boundary block that
-    carries the imposed values into the right-hand side.
-    """
-
-    coupling: sp.csr_matrix
-    interior: np.ndarray
-    boundary: np.ndarray
+    s = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+    pts = a[:, None, :] + s[None, :, None] * tang[:, None, :]  # (edge, node, xy)
+    ax, ay = field.value(pts[..., 0], pts[..., 1])
+    an = np.broadcast_to(np.asarray(ax, dtype=float) * normal[:, :1]
+                         + np.asarray(ay, dtype=float) * normal[:, 1:],
+                         pts.shape[:2])
+    phi = np.stack([1.0 - s, s])  # (end, node)
+    local = np.einsum("en,in,jn->eij", 0.5 * length[:, None] * an, phi, phi)
+    rows, cols = np.repeat(edges, 2, axis=1), np.tile(edges, 2)  # (edge, 2i + j)
+    return sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(mesh.nv, mesh.nv))
 
 
 def dcgm_dirichlet_prepare(mesh: TriMesh, field: VelocityField,
-                           config: SchemeConfig) -> DirichletOperator:
+                           config: SchemeConfig) -> LinearStep:
     """Build the constrained characteristic system once.
 
-    The system matrix receives the boundary correction -dt B with
-    B_ij = int (a.n) phi_i phi_j over the boundary, then boundary rows are
-    constrained to the supplied values and the interior block (still SPD) is
-    solved.  Experimental: the plain scheme without this correction performs
-    better in practice, and the discrepancy is left visible.
+    A = M + nu dt K - dt B carries the boundary flux B_ij = int (a.n) phi_i
+    phi_j.  ``lhs`` is A with unit boundary rows and columns (still SPD),
+    ``rhs_mat`` the dual transport with its boundary rows emptied, and
+    ``lift`` minus A's interior-by-boundary block, the identity on the
+    boundary rows.  Experimental: the plain scheme without this correction
+    performs better in practice, and the discrepancy is left visible.
     """
     op = dcgm_prepare(mesh, field, config)
     matrix = op.lhs - config.dt * _boundary_flux_matrix(mesh, field)
-    interior = mesh.interior_vertices
-    boundary = mesh.boundary_vertices
-    rows = matrix[interior]
-    return DirichletOperator(
-        mesh=mesh,
-        lhs=rows[:, interior],
-        rhs_mat=op.rhs_mat[interior],
-        form=op.lhs,
-        solver_tol=config.solver_tol,
-        projected_fraction=op.projected_fraction,
-        coupling=rows[:, boundary],
-        interior=interior,
-        boundary=boundary,
-    )
+    on = sp.diags(mesh.is_boundary_vertex.astype(float), format="csr")
+    inside = sp.diags((~mesh.is_boundary_vertex).astype(float), format="csr")
+    return LinearStep(
+        mesh, inside @ matrix @ inside + on, inside @ op.rhs_mat, op.lhs,
+        config.solver_tol, op.projected_fraction,
+        lift=(on - inside @ matrix)[:, mesh.boundary_vertices])
 
 
-def dcgm_dirichlet_step(op: DirichletOperator, u_prev: FieldP1, u_boundary,
+def dcgm_dirichlet_step(op: LinearStep, u_prev: FieldP1, u_boundary,
                         history: SolutionHistory | None = None):
-    """One characteristic step with the boundary pinned to ``u_boundary``:
-    a scalar, or one value per entry of ``op.boundary``.
-    """
-    ub = np.asarray(u_boundary, dtype=float)
-    if ub.ndim != 0 and ub.shape != op.boundary.shape:
+    """One characteristic step with the boundary pinned to ``u_boundary``: a
+    scalar, or one value per vertex of ``mesh.boundary_vertices``, in order."""
+    if not (isinstance(op, LinearStep) and op.lift is not None):
+        raise ValueError("dcgm_dirichlet_step needs an operator from "
+                         "dcgm_dirichlet_prepare")
+    g = np.asarray(u_boundary, dtype=float)
+    if g.ndim != 0 and g.shape != op.lift.shape[1:]:
         raise ValueError("boundary data must be a scalar or one value per "
                          "boundary vertex")
-    g = np.zeros(op.mesh.nv)
-    g[op.boundary] = ub
     return _advance(op, u_prev, cg_solve, "constrained characteristic",
-                    history, g)
+                    history, np.broadcast_to(g, op.lift.shape[1:]))

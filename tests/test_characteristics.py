@@ -107,6 +107,20 @@ def test_traced_points_projection_fraction(disk100):
     assert np.mean(tp.bwd_projected) <= 0.02
 
 
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])
+def test_a_velocity_that_is_not_finite_is_refused_before_location(dual,
+                                                                  monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("an image was located")
+
+    for name in ("_outside", "locate_point", "project_to_domain"):
+        monkeypatch.setattr(characteristics, name, refuse)
+    mesh = build_rect_mesh(6, 5, 1.0, 0.8)
+    with pytest.raises(ValueError, match="velocity field"):
+        build_traced_points(mesh, uniform_field(math.nan, 0.0),
+                            nine_point_rule(), 0.1, dual=dual)
+
+
 def test_traced_points_pure_rotation_small_dt(disk100):
     # infinitesimal step: every forward image is its source, so the dual
     # transport P_src^T W P_src is the mass matrix (the rule is exact for

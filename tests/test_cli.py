@@ -215,6 +215,13 @@ def test_convergence_rejects_a_repeated_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convergence_needs_three_sizes(tmp_path, capsys):
+    out = tmp_path / "two"
+    assert run_cli(["--out", str(out), "convergence", "--N", "100,200"]) == 2
+    assert "at least 3 mesh sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compare", "discont"])
 def test_single_size_commands_check_the_size(tmp_path, capsys, command):
     out = tmp_path / command

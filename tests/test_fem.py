@@ -87,6 +87,15 @@ def test_interpolate_pointwise_fallback(unit_square):
     assert np.allclose(f.coeffs, g.coeffs, atol=1e-15)
 
 
+def test_interpolate_refuses_a_value_that_is_not_finite(unit_square):
+    # a NaN datum fails here, not at the first solve of a run after its
+    # whole prepare
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            interpolate(unit_square, lambda x, y: np.where(np.asarray(x) > 0.5,
+                                                           bad, 0.0))
+
+
 def test_interpolate_does_not_hide_a_broken_array_path(unit_square):
     # only TypeError and ValueError mean "scalars only"; any other error of
     # the array path is a bug of the callable and must surface

@@ -33,6 +33,10 @@ def test_params_validation():
         HestonParams(rho=-1.5)
     with pytest.raises(ValueError):
         HestonParams(T=0.0)
+    # a put with a strike at or below 0 pays nothing
+    for bad in (-5.0, 0.0):
+        with pytest.raises(ValueError, match="strike must be > 0"):
+            HestonParams(strike=bad)
     # a non-finite input fails here, not after 10 n CG iterations of a run
     for name in ("r", "mu", "mu_v", "strike", "T", "kappa", "x_max"):
         for bad in (math.nan, math.inf, -math.inf):

@@ -440,6 +440,11 @@ def test_project_to_domain(disk100):
     # an interior point passes through untouched
     same = project_to_domain(disk100, np.array([0.2, 0.1]))
     assert np.allclose(same, [0.2, 0.1])
+    # a point that is not finite has no closest point, as locate_point finds
+    # no triangle for it
+    for bad in ([np.nan, 0.0], [[0.2, 0.1], [0.0, np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            project_to_domain(disk100, np.array(bad))
 
 
 def test_projection_scratch_does_not_grow_with_the_boundary(traced_peak):

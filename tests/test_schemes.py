@@ -18,7 +18,8 @@ from dcgm.linalg import SolutionHistory, _level_blocks
 from dcgm.heston import HestonParams, heston_operator
 from dcgm.mesh import build_disk_mesh, build_rect_mesh
 from dcgm.quadrature import nine_point_rule
-from dcgm.schemes import (CflWarning, SchemeConfig, StepDiagnostics, StepError,
+from dcgm.schemes import (CflWarning, LinearStep, SchemeConfig,
+                          StepDiagnostics, StepError, _boundary_flux_matrix,
                           _convection_matrix, _streamline_derivatives,
                           _streamline_matrix, centered_prepare, centered_step,
                           cfl_dt_guideline, dcgm_dirichlet_prepare,
@@ -154,7 +155,7 @@ def test_dirichlet_constant_boundary(disk100):
         u, _ = dcgm_dirichlet_step(op, u, 1.0)
     assert np.max(np.abs(u.coeffs - 1.0)) == 0.0
     # one value per boundary vertex is the same data; a vertex vector is not
-    v, _ = dcgm_dirichlet_step(op, u, np.ones(op.boundary.shape))
+    v, _ = dcgm_dirichlet_step(op, u, np.ones(disk100.boundary_vertices.shape))
     assert np.array_equal(v.coeffs, u.coeffs)
     with pytest.raises(ValueError, match="boundary vertex"):
         dcgm_dirichlet_step(op, u, np.ones(disk100.nv))
@@ -171,6 +172,55 @@ def test_dirichlet_absorbing_boundary(disk100):
     assert all(b <= a + 1e-12 for a, b in zip(masses, masses[1:]))
     bnd = disk100.boundary_vertices
     assert np.max(np.abs(u.coeffs[bnd])) == 0.0
+
+
+def test_dirichlet_prepare_is_a_plain_step_with_a_lift(disk100):
+    op = dcgm_dirichlet_prepare(disk100, uniform_field(0.5, -0.3), CFG)
+    assert type(op) is LinearStep
+    bnd = disk100.boundary_vertices
+    assert op.lift.shape == (disk100.nv, bnd.size)
+    # boundary rows of lhs are unit rows, those of the transport are empty
+    rows = op.lhs[bnd].toarray()
+    assert np.array_equal(rows, np.eye(disk100.nv)[bnd])
+    assert op.rhs_mat[bnd].nnz == 0
+    assert np.array_equal(op.lift[bnd].toarray(), np.eye(bnd.size))
+    with pytest.raises(ValueError, match="dcgm_dirichlet_prepare"):
+        dcgm_dirichlet_step(dcgm_prepare(disk100, rotation_field(), CFG),
+                            bump(disk100), 0.0)
+    # a step that imposes no values refuses it instead of pinning them to 0
+    for step in (supg_step, centered_step):
+        with pytest.raises(ValueError, match="dcgm_dirichlet_step"):
+            step(op, bump(disk100))
+
+
+def test_dirichlet_step_matches_interior_elimination():
+    # the interior unknowns solve the interior block of the flux-corrected
+    # matrix, with the imposed values moved to the right-hand side
+    mesh = build_disk_mesh(40)
+    field = uniform_field(0.5, -0.3)
+    op = dcgm_dirichlet_prepare(mesh, field, CFG)
+    plain = dcgm_prepare(mesh, field, CFG)
+    matrix = (plain.lhs - CFG.dt * _boundary_flux_matrix(mesh, field)).toarray()
+    inn, bnd = mesh.interior_vertices, mesh.boundary_vertices
+    u = bump(mesh, center=(0.6, 0.1), sharp=5.0)
+    g = 0.1 + mesh.vertices[bnd, 0] ** 2
+    rhs = (plain.rhs_mat @ u.coeffs)[inn] - matrix[np.ix_(inn, bnd)] @ g
+    want = np.empty(mesh.nv)
+    want[inn] = np.linalg.solve(matrix[np.ix_(inn, inn)], rhs)
+    want[bnd] = g
+    got, _ = dcgm_dirichlet_step(op, u, g)
+    assert np.max(np.abs(got.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_dirichlet_boundary_is_exact_with_a_history(disk60):
+    op = dcgm_dirichlet_prepare(disk60, rotation_field(), CFG)
+    bnd = disk60.boundary_vertices
+    u, history = bump(disk60), SolutionHistory()
+    for n in range(1, 8):
+        g = np.cos(n + disk60.vertices[bnd, 1])
+        u, diag = dcgm_dirichlet_step(op, u, g, history)
+        assert diag.solver.converged
+        assert np.array_equal(u.coeffs[bnd], g)
 
 
 def _dirichlet_step(op, u_prev, history=None):
