@@ -32,12 +32,13 @@ from .fem import (
     nu_dt_norm,
     stability_form,
 )
-from .linalg import SolutionHistory
-from .mesh import MIN_BOUNDARY, TriMesh, _whole, build_disk_mesh, locate_point
+from .mesh import (MIN_BOUNDARY, TriMesh, _real, _whole, build_disk_mesh,
+                   locate_point)
 from .quadrature import nine_point_rule
 from .schemes import (
     SchemeConfig,
     StepDiagnostics,
+    _run_steps,
     centered_prepare,
     centered_step,
     dcgm_dirichlet_prepare,
@@ -96,8 +97,7 @@ class BellParams:
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (2,) or not np.isfinite(x0).all():
             raise ValueError("x0 must be a finite (x, y) pair")
-        if not (np.isfinite(self.r) and self.r > 0.0):
-            raise ValueError("r must be finite and > 0")
+        _real("r", self.r, positive=True)
         if self.n_steps is not None:
             _whole("n_steps", self.n_steps, 1)
         _config(self, 1)  # SchemeConfig checks nu and the numerics
@@ -193,40 +193,12 @@ def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
     raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
-def _run_steps(op, step, config: SchemeConfig, u0: FieldP1, n_steps: int,
-               boundary=None):
-    """Advance ``n_steps`` steps; returns final field, histories, diagnostics.
-
-    Every solve of the run starts from the run's recent solutions (one
-    :class:`~dcgm.linalg.SolutionHistory` for the run's single matrix), and
-    the stability norm reads the operator's ``form``: each step's
-    diagnostics carry the norm of its new field.
-
-    ``boundary(x, t)``, when given, supplies the imposed values at the
-    boundary vertices ``x`` at each step's end time (Dirichlet steps only).
-    """
-    mesh = u0.mesh
-    rim = None if boundary is None else mesh.vertices[mesh.boundary_vertices]
-    masses = [integral(u0)]
-    norms = [nu_dt_norm(u0, op.form)]
-    diags: list[StepDiagnostics] = []
-    history = SolutionHistory()
-    u = u0
-    for n in range(1, n_steps + 1):
-        extra = {} if rim is None else {"u_boundary": boundary(rim, n * config.dt)}
-        # by keyword: perfbench's tracer reads the operator from kwargs["op"]
-        u, diag = step(op=op, u_prev=u, history=history, **extra)
-        diags.append(diag)
-        masses.append(diag.mass)
-        norms.append(diag.norm)
-    return u, np.array(masses), np.array(norms), diags
-
-
 def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
-            n_steps: int, run, exact, wall: float = 0.0) -> RunReport:
-    """Table row of a finished ``run`` (the tuple :func:`_run_steps`
-    returns); the error is measured against ``exact(x, y)``."""
-    u, masses, norms, diags = run
+            n_steps: int, u0: FieldP1, form, u: FieldP1, diags, exact,
+            wall: float = 0.0) -> RunReport:
+    """Table row of a run from ``u0`` to ``u`` with step diagnostics
+    ``diags``, norms in ``form`` and the error against ``exact(x, y)``."""
+    masses = np.array([integral(u0)] + [d.mass for d in diags])
     return RunReport(
         scheme=scheme,
         n_boundary=N,
@@ -242,7 +214,7 @@ def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
         l2_err=l2_error(u, exact, nine_point_rule()),
         wall_time=wall,
         mass_history=masses,
-        norm_history=norms,
+        norm_history=np.array([nu_dt_norm(u0, form)] + [d.norm for d in diags]),
         diagnostics=diags,
         final=u,
     )
@@ -251,17 +223,22 @@ def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
 def _turn(N: int, scheme: str, params: BellParams, initial, exact,
           boundary=None) -> RunReport:
     """One turn of ``scheme`` on the disk with ``N`` boundary vertices from
-    the interpolant of ``initial(x, y)``; the error is measured against
-    ``exact(x, y)`` and ``boundary`` is as in :func:`_run_steps`."""
+    the interpolant of ``initial(x, y)``, measured against ``exact(x, y)``;
+    ``boundary(x, t)`` gives a Dirichlet step its boundary values."""
     n_steps = _n_steps(params, N)
     config = _config(params, n_steps)
     mesh = build_disk_mesh(N)
     u0 = interpolate(mesh, initial)
+    rim = None if boundary is None else mesh.vertices[mesh.boundary_vertices]
+    at_step = None if rim is None else lambda n: boundary(rim, n * config.dt)
     start = time.perf_counter()
     op, step = _prepare(scheme, mesh, config)
-    run = _run_steps(op, step, config, u0, n_steps, boundary)
+    u, diags = u0, []
+    for _, u, diag in _run_steps(op, step, u0, n_steps, at_step):
+        diags.append(diag)
     wall = time.perf_counter() - start
-    return _report(scheme, N, mesh, config, n_steps, run, exact, wall)
+    return _report(scheme, N, mesh, config, n_steps, u0, op.form, u, diags,
+                   exact, wall)
 
 
 def run_one_turn(N: int, scheme: str, params: BellParams | None = None) -> RunReport:
@@ -285,8 +262,7 @@ def exact_report(N: int, params: BellParams | None = None) -> RunReport:
     exact = bell_at_time(params, T)
     u = interpolate(mesh, exact)
     form = stability_form(mesh, config.nu, config.dt)
-    run = (u, np.array([integral(u)]), np.array([nu_dt_norm(u, form)]), [])
-    return _report("exact", N, mesh, config, n_steps, run, exact)
+    return _report("exact", N, mesh, config, n_steps, u, form, u, [], exact)
 
 
 def fit_order(h_values, errors) -> float:
@@ -372,6 +348,8 @@ def stability_constant(report: RunReport) -> float:
     """Smallest C with per-step norm growth <= 1 + C (h^2/nu + dt^2) over the
     whole run (negative when the norm only decays)."""
     norms = report.norm_history
+    if len(norms) < 2:
+        raise ValueError("the stability constant needs a run of at least one step")
     growth = norms[1:] / norms[:-1]
     bound = report.h_max**2 / report.nu + report.dt**2
     return float(np.max((growth - 1.0) / bound))

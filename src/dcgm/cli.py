@@ -111,21 +111,23 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _scheme_values(args: argparse.Namespace) -> dict:
-    """The :class:`BellParams` values of the flags :func:`_add_scheme_flags`
-    adds."""
-    return dict(nu=args.nu, sigma=args.sigma, quadrature=args.quadrature,
-                solver_tol=args.solver_tol)
-
-
-def _bell_params(args: argparse.Namespace) -> BellParams:
-    return BellParams(x0=(args.x0[0], args.x0[1]), r=args.r, n_steps=args.steps,
-                      **_scheme_values(args))
+def _run_params(args: argparse.Namespace) -> BellParams | HestonParams | None:
+    """The parameters the command's flags give its run; mesh has none, and
+    discont, which has no bell flags, keeps the bell's defaults."""
+    if args.command == "mesh":
+        return None
+    if args.command == "heston":
+        return HestonParams(T=args.T, strike=args.strike, mu=args.mu,
+                            offdiag_rho=args.offdiag_rho)
+    bell = {} if args.command == "discont" else dict(
+        x0=tuple(args.x0), r=args.r, n_steps=args.steps)
+    return BellParams(nu=args.nu, sigma=args.sigma, quadrature=args.quadrature,
+                      solver_tol=args.solver_tol, **bell)
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     """Diffusion and numerics flags; every bell-type run has them, and
-    :func:`_scheme_values` hands them to :class:`BellParams`."""
+    :func:`_run_params` hands them to :class:`BellParams`."""
     p.add_argument("--nu", type=float, default=1e-3, help="diffusion coefficient")
     p.add_argument("--sigma", type=int, default=1, choices=(0, 1),
                    help="tracer order switch")
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_mesh(args, out: Path) -> dict:
+def cmd_mesh(args, _params, out: Path) -> dict:
     if args.rect:
         nx, ny = args.rect
         mesh = build_rect_mesh(nx, ny, args.xmax, args.ymax)
@@ -217,8 +219,7 @@ def cmd_mesh(args, out: Path) -> dict:
     return {"mesh_file": name, "vertices": mesh.nv, "triangles": mesh.nt}
 
 
-def cmd_bell(args, out: Path) -> dict:
-    params = _bell_params(args)
+def cmd_bell(args, params: BellParams, out: Path) -> dict:
     rows = []
     for n in args.N:
         if args.dirichlet:
@@ -234,8 +235,8 @@ def cmd_bell(args, out: Path) -> dict:
     return {"table": "table1.csv"}
 
 
-def cmd_compare(args, out: Path) -> dict:
-    reports = compare_schemes(args.N, _bell_params(args))
+def cmd_compare(args, params: BellParams, out: Path) -> dict:
+    reports = compare_schemes(args.N, params)
     for report in reports:
         _print_row(report)
         _write_cut_csv(out / f"cut{args.N}_{report.scheme}.csv", report)
@@ -247,8 +248,8 @@ def cmd_compare(args, out: Path) -> dict:
     return {"table": "table2.csv"}
 
 
-def cmd_convergence(args, out: Path) -> dict:
-    reports, order = convergence_study(args.scheme, args.N, _bell_params(args))
+def cmd_convergence(args, params: BellParams, out: Path) -> dict:
+    reports, order = convergence_study(args.scheme, args.N, params)
     for r in reports:
         _print_row(r)
     print(f"fitted order in h: {order:.3f}")
@@ -258,8 +259,8 @@ def cmd_convergence(args, out: Path) -> dict:
     return {"fitted_order": f"{order:.17g}"}
 
 
-def cmd_discont(args, out: Path) -> dict:
-    report = discontinuous_test(args.N, BellParams(**_scheme_values(args)))
+def cmd_discont(args, params: BellParams, out: Path) -> dict:
+    report = discontinuous_test(args.N, params)
     _print_row(report)
     _write_diag_csv(out / "discont_diag.csv", report)
     write_field_csv(report.final, out / f"discont{args.N}.csv")
@@ -269,9 +270,7 @@ def cmd_discont(args, out: Path) -> dict:
     return {"mass_drift": f"{drift:.17g}"}
 
 
-def cmd_heston(args, out: Path) -> dict:
-    params = HestonParams(T=args.T, strike=args.strike, mu=args.mu,
-                          offdiag_rho=args.offdiag_rho)
+def cmd_heston(args, params: HestonParams, out: Path) -> dict:
     every = args.snapshot_every
 
     def snap(step, field):
@@ -302,13 +301,17 @@ def main(argv=None) -> int:
             parser.error(f"--dirichlet runs the dcgm scheme only, not {args.scheme}")
         if args.command == "convergence" and len(args.N) < 3:
             parser.error("convergence needs at least 3 mesh sizes in --N")
+        try:
+            params = _run_params(args)
+        except ValueError as exc:  # a value the library refuses
+            parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        extra = args.func(args, out)
+        extra = args.func(args, params, out)
         _manifest(out, args, extra)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,10 +37,11 @@ import scipy.sparse as sp
 
 from .characteristics import VelocityField
 from .fem import FieldP1, assemble_local, basis_gradients, integral, interpolate
-from .linalg import SolutionHistory, _level_blocks
-from .mesh import TriMesh, _whole, build_rect_mesh
+from .linalg import _level_blocks
+from .mesh import TriMesh, _real, _whole, build_rect_mesh
 from .quadrature import QuadratureRule, nine_point_rule
-from .schemes import SchemeConfig, StepDiagnostics, dcgm_prepare, dcgm_step
+from .schemes import (SchemeConfig, StepDiagnostics, _run_steps, dcgm_prepare,
+                      dcgm_step)
 
 __all__ = [
     "HestonParams",
@@ -82,16 +83,13 @@ class HestonParams:
     offdiag_rho: bool = False
 
     def __post_init__(self):
+        positive = ("kappa", "theta", "lam", "sigma", "sigma_v", "strike", "T",
+                    "x_max", "y_max")
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        for name in ("kappa", "theta", "lam", "sigma", "sigma_v", "strike"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if f.type == "float":
+                _real(f.name, getattr(self, f.name), f.name in positive)
         if abs(self.rho) > 1.0:
             raise ValueError("rho must lie in [-1, 1]")
-        if not (self.x_max > 0.0 and self.y_max > 0.0 and self.T > 0.0):
-            raise ValueError("domain extents and horizon must be positive")
 
     @property
     def offdiag_coeff(self) -> float:
@@ -254,9 +252,9 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
 
     ``on_step(step_index, field)`` is called after every step when given.
     ``nx`` and ``ny`` (at least 2) and ``n_steps`` (at least 1) must be
-    ints or numpy integers, and ``on_step`` None or callable; anything else
-    raises ``ValueError`` naming the argument before the run builds
-    anything.
+    ints or numpy integers, not bools, and ``on_step`` None or callable;
+    anything else raises ``ValueError`` naming the argument before the run
+    builds anything.
     Every step solves the same matrix, so the run factors it once in
     breadth-first levels (:func:`~dcgm.linalg._level_blocks`) and sets it as
     the operator's ``factor``: each step starts from the factor's solution,
@@ -282,11 +280,9 @@ def heston_run(params: HestonParams, nx: int, ny: int, n_steps: int,
     leak_weights = _boundary_weights(mesh)
 
     u = _initial_density(mesh, params)
-    history = SolutionHistory()  # read only without a factor
     steps: list[HestonStep] = []
     warned_neg = warned_leak = False
-    for k in range(1, n_steps + 1):
-        u, diag = dcgm_step(op, u, history=history)
+    for k, u, diag in _run_steps(op, dcgm_step, u, n_steps):
         price = put_price(u, put_weights)
         leak = boundary_mass(u, leak_weights)
         steps.append(HestonStep(diag=diag, price=price, boundary_mass=leak))

@@ -14,6 +14,7 @@ outward normal of edge (a, b) proportional to (b_y - a_y, a_x - b_x).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -545,11 +546,22 @@ MIN_BOUNDARY = 8  # fewest boundary vertices build_disk_mesh accepts
 
 
 def _whole(name: str, value, least: int) -> int:
-    """``value`` as an int when it is an int or numpy integer >= ``least``;
-    anything else raises ``ValueError`` naming ``name``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """``value`` as an int when it is an int or numpy integer >= ``least``,
+    not a bool; anything else raises ``ValueError`` naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
         raise ValueError(f"{name} must be a whole number >= {least}")
     return int(value)
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float when it is a finite real number, > 0 when
+    ``positive``; anything else raises ``ValueError`` naming ``name``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    if positive and not value > 0.0:
+        raise ValueError(f"{name} must be > 0, not {value!r}")
+    return float(value)
 
 
 def build_rect_mesh(nx: int, ny: int, x_max: float, y_max: float) -> TriMesh:
@@ -560,8 +572,7 @@ def build_rect_mesh(nx: int, ny: int, x_max: float, y_max: float) -> TriMesh:
     1 bottom, 2 right, 3 top, 4 left, traversed counterclockwise.
     """
     nx, ny = _whole("nx", nx, 2), _whole("ny", ny, 2)
-    if not (x_max > 0.0 and y_max > 0.0):
-        raise ValueError("rectangle extents must be positive")
+    x_max, y_max = _real("x_max", x_max, True), _real("y_max", y_max, True)
     xs = np.linspace(0.0, x_max, nx)
     ys = np.linspace(0.0, y_max, ny)
     xx, yy = np.meshgrid(xs, ys)  # row j -> y = ys[j]

@@ -9,9 +9,9 @@ With a steady velocity field and a fixed dt each scheme is one linear map,
 function builds once into a :class:`LinearStep` record or one extending it.
 Every step is then ``step(op, u_prev, history=None)`` and returns the new
 field with its :class:`StepDiagnostics`.  Without ``history`` a step is a
-pure map whose solve starts from u_prev; a run loop that creates one
-:class:`~dcgm.linalg.SolutionHistory` and passes it to each of its steps
-starts every solve from the best combination of the run's recent solutions
+pure map whose solve starts from u_prev.  The run loop, ``_run_steps``,
+passes one :class:`~dcgm.linalg.SolutionHistory` to every step of a run, so
+each solve starts from the best combination of the run's recent solutions
 instead, which saves most of the Krylov iterations.  An operator whose
 ``factor`` is an exact solve with ``lhs`` (``heston_run`` sets one) needs
 no history: each solve starts from the factor's solution, which meets the
@@ -55,7 +55,7 @@ from .fem import (
 )
 from .linalg import (SolutionHistory, SolveReport, _jacobi, bicgstab_solve,
                      cg_solve)
-from .mesh import TriMesh
+from .mesh import TriMesh, _real
 from .quadrature import midedge_rule, rule_by_name
 
 __all__ = [
@@ -99,9 +99,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         for name in ("nu", "dt", "solver_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
+            _real(name, getattr(self, name), positive=True)
         if self.sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
         rule_by_name(self.quadrature)  # fail at construction, not mid-run
@@ -252,6 +250,18 @@ def _advance(op: LinearStep, u_prev: FieldP1, solve, label: str,
         norm=norm,
     )
     return u_new, diag
+
+
+def _run_steps(op: LinearStep, step, u: FieldP1, n_steps: int, boundary=None):
+    """The run loop: ``n_steps`` calls of ``step`` on ``op`` from ``u``,
+    yielding ``(n, u, diag)`` after step n.  The run's one history serves
+    every solve; ``boundary(n)`` is the ``u_boundary`` of a Dirichlet step."""
+    history = SolutionHistory()
+    for n in range(1, n_steps + 1):
+        extra = {} if boundary is None else {"u_boundary": boundary(n)}
+        # by keyword: perfbench's tracer reads the operator from kwargs["op"]
+        u, diag = step(op=op, u_prev=u, history=history, **extra)
+        yield n, u, diag
 
 
 def dcgm_step(op: DcgmOperator, u_prev: FieldP1,

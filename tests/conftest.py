@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dcgm.linalg import SolutionHistory
 from dcgm.mesh import build_disk_mesh, build_rect_mesh
 
 # registry for the acceptance suite; printed in the terminal summary so the
@@ -44,6 +45,26 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture()
+def history_log(monkeypatch):
+    """``(made, added)``: every :class:`SolutionHistory` made during the
+    test, and the history of every ``add``, in call order."""
+    made, added = [], []
+    init, add = SolutionHistory.__init__, SolutionHistory.add
+
+    def logged_init(self):
+        made.append(self)
+        init(self)
+
+    def logged_add(self, *args):
+        added.append(self)
+        add(self, *args)
+
+    monkeypatch.setattr(SolutionHistory, "__init__", logged_init)
+    monkeypatch.setattr(SolutionHistory, "add", logged_add)
+    return made, added
 
 
 @pytest.fixture()

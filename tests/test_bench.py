@@ -55,11 +55,24 @@ NAN, INF = float("nan"), float("inf")
     (lambda: BellParams(quadrature="gauss97"), "quadrature"),
     (lambda: BellParams(n_steps=2.5), "n_steps"),
     (lambda: BellParams(n_steps=3.0), "n_steps"),
+    (lambda: BellParams(n_steps=True), "n_steps"),
 ])
 def test_bad_numbers_fail_at_construction(make, field):
     # a value no run can use is refused when the record is built, naming
     # its field, not in the middle of a run
     with pytest.raises(ValueError, match=rf"^(unknown )?{field}\b"):
+        make()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: BellParams(r="20"), "r"),
+    (lambda: BellParams(nu="1e-3"), "nu"),
+    (lambda: BellParams(solver_tol=None), "solver_tol"),
+    (lambda: SchemeConfig(nu=1e-3, dt="1"), "dt"),
+])
+def test_a_parameter_that_is_no_number_names_itself(make, field):
+    # refused as a ValueError naming the field, not numpy's TypeError
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         make()
 
 
@@ -224,6 +237,27 @@ def test_stability_constant_bounded():
     assert np.isfinite(c)
     assert c < 10.0
 
+
+
+def test_stability_constant_needs_a_step():
+    # the exact row of a comparison has no steps and so no norm growth
+    with pytest.raises(ValueError, match="at least one step"):
+        stability_constant(exact_report(40))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES + ("dcgm-dirichlet",))
+def test_each_turn_makes_one_solution_history(history_log, scheme):
+    # every solve of a turn starts from the one history of its run loop
+    made, added = history_log
+    params = BellParams(n_steps=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        if scheme == "dcgm-dirichlet":
+            run_one_turn_dirichlet(60, params)
+        else:
+            run_one_turn(60, scheme, params)
+    assert len(made) == 1
+    assert len(added) == 4 and set(map(id, added)) == {id(made[0])}
 
 
 def test_solution_history_changes_only_rounding():

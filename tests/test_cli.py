@@ -4,7 +4,8 @@ import warnings
 import pytest
 
 from dcgm.bench import BellParams, run_one_turn
-from dcgm.cli import _row, _table_row, build_parser, main
+from dcgm.cli import _row, _run_params, _table_row, build_parser, main
+from dcgm.heston import HestonParams
 
 
 def run_cli(args):
@@ -128,7 +129,7 @@ def test_bell_numerics_reach_the_run(tmp_path):
 def test_bell_rejects_a_negative_tolerance(tmp_path, capsys):
     out = tmp_path / "tol"
     code = run_cli(["--out", str(out), "bell", "--N", "40", "--solver-tol", "-1"])
-    assert code == 1
+    assert code == 2
     assert "solver_tol" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
@@ -246,10 +247,15 @@ def test_bell_rejects_zero_steps(tmp_path, capsys):
     assert not (out / "table1.csv").exists()
 
 
+# valid parameters whose initial density underflows to 0 on the 5x5 grid:
+# the library refuses the run once it has built the mesh
+VANISHING_DENSITY = ["heston", "--nx", "5", "--ny", "5", "--steps", "2",
+                     "--mu", "1000"]
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
-    # a negative diffusion coefficient is rejected by the library
     out = tmp_path / "x"
-    code = run_cli(["--out", str(out), "bell", "--N", "40", "--nu", "-1"])
+    code = run_cli(["--out", str(out)] + VANISHING_DENSITY)
     assert code == 1
     err = capsys.readouterr().err
     assert err.strip()
@@ -263,18 +269,46 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     (["heston", "--nx", "1", "--ny", "5", "--steps", "2"], 2),
     (["heston", "--nx", "5", "--ny", "5", "--steps", "0"], 2),
     (["bell", "--N", "40", "--steps", "0"], 2),
-    (["bell", "--N", "40", "--nu", "-1"], 1),
-    (["heston", "--nx", "5", "--ny", "5", "--steps", "2", "--T", "-1"], 1),
-    (["discont", "--N", "40", "--solver-tol", "0"], 1),
+    (["bell", "--N", "40", "--nu", "-1"], 2),
+    (["heston", "--nx", "5", "--ny", "5", "--steps", "2", "--T", "-1"], 2),
+    (["discont", "--N", "40", "--solver-tol", "0"], 2),
+    (VANISHING_DENSITY, 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_failed_command_leaves_no_directory(tmp_path, args, code):
-    # argparse refuses a size or step count before --out is made; a value
-    # the library refuses removes the --out it made, with all its parents
+    # a size, step count or parameter value no run can use is a usage error
+    # before --out is made; a run that fails removes the --out it made, with
+    # all its parents
     out = tmp_path / "new" / "out"
     assert run_cli(["--out", str(out)] + args) == code
     assert not (tmp_path / "new").exists()
 
 
 def test_failed_command_keeps_a_directory_it_did_not_make(tmp_path):
-    assert run_cli(["--out", str(tmp_path), "bell", "--N", "40", "--nu", "-1"]) == 1
+    assert run_cli(["--out", str(tmp_path)] + VANISHING_DENSITY) == 1
     assert tmp_path.is_dir()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["bell", "--x0", "nan", "0"], "x0"),
+    (["bell", "--solver-tol", "0"], "solver_tol"),
+    (["compare", "--r", "-1"], "r"),
+    (["heston", "--strike", "0"], "strike"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_refused_parameters_are_usage_errors(tmp_path, capsys, args, field):
+    # the run's parameters are built while parsing, so a value the library
+    # refuses exits 2 with its message, before --out exists
+    out = tmp_path / "p"
+    assert run_cli(["--out", str(out)] + args) == 2
+    assert f"error: {field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, params", [
+    ("bell", BellParams()), ("compare", BellParams()),
+    ("convergence", BellParams()), ("discont", BellParams()),
+    ("heston", HestonParams()),
+])
+def test_flag_defaults_are_the_library_defaults(command, params):
+    # every default is written once in the parser and once in the library;
+    # a bare command must run what the library runs by default
+    assert _run_params(build_parser().parse_args([command])) == params

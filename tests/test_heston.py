@@ -50,6 +50,7 @@ def test_params_validation():
     ((10.5, 10, 5), "nx"),
     ((10, 10.0, 5), "ny"),
     ((0, 10, 5), "nx"),
+    ((10, 10, True), "n_steps"),
 ])
 def test_run_sizes_fail_before_any_work(monkeypatch, args, name):
     # a grid or step count no run can use is refused, naming the argument,
@@ -69,6 +70,27 @@ def test_run_accepts_numpy_integer_sizes():
         _, steps, _ = heston_run(HestonParams(), np.int64(8), np.int32(8),
                                  np.int64(2))
     assert len(steps) == 2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("strike", "75"), ("T", None), ("x_max", [200.0]), ("rho", "-0.5"),
+])
+def test_a_parameter_that_is_no_number_names_itself(name, value):
+    # refused as a ValueError naming the field, not numpy's TypeError
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        HestonParams(**{name: value})
+
+
+def test_a_factored_run_makes_one_history_and_never_adds(history_log):
+    # the run loop makes the run's one history; the factor's start meets
+    # the tolerance, so no step reads the history or adds to it
+    made, added = history_log
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, steps, _ = heston_run(HestonParams(), 10, 10, 3)
+    assert len(made) == 1
+    assert added == []
+    assert [s.diag.solver.iterations for s in steps] == [0, 0, 0]
 
 
 def test_offdiag_coeff_switch():

@@ -150,6 +150,19 @@ def test_vertex_counts_must_be_whole(build, name):
         build()
 
 
+@pytest.mark.parametrize("extents, name", [
+    ((math.nan, 1.0), "x_max"),
+    ((math.inf, 1.0), "x_max"),
+    ((0.0, 1.0), "x_max"),
+    ((1.0, -2.0), "y_max"),
+    (("1", 1.0), "x_max"),
+    ((1.0, None), "y_max"),
+])
+def test_rect_extents_must_be_finite_and_positive(extents, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be (finite|> 0)"):
+        build_rect_mesh(4, 4, *extents)
+
+
 def test_numpy_integer_vertex_counts():
     assert build_disk_mesh(np.int64(40)).nv == build_disk_mesh(40).nv
     assert build_rect_mesh(np.int32(4), np.int64(3), 1.0, 1.0).nv == 12
