@@ -94,8 +94,11 @@ class BellParams:
     solver_tol: float = _SCHEME_DEFAULT["solver_tol"]
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (2,) or not np.isfinite(x0).all():
+        try:
+            x0 = np.asarray(self.x0, dtype=float)
+        except (TypeError, ValueError):  # not numbers at all
+            x0 = None
+        if x0 is None or x0.shape != (2,) or not np.isfinite(x0).all():
             raise ValueError("x0 must be a finite (x, y) pair")
         _real("r", self.r, positive=True)
         if self.n_steps is not None:
@@ -177,6 +180,17 @@ def _n_steps(params: BellParams, N: int) -> int:
     return params.n_steps if params.n_steps is not None else max(1, N // 3)
 
 
+def _disk(N: int, mesh: TriMesh | None) -> TriMesh:
+    """A new disk mesh when ``mesh`` is None, else ``mesh`` if it is a
+    :class:`TriMesh` with ``N`` boundary vertices; anything else is refused."""
+    if mesh is None:
+        return build_disk_mesh(N)
+    n = _whole("N", N, MIN_BOUNDARY)
+    if isinstance(mesh, TriMesh) and mesh.boundary_vertices.size == n:
+        return mesh
+    raise ValueError(f"mesh must be a TriMesh with N = {N!r} boundary vertices")
+
+
 def _prepare(scheme: str, mesh: TriMesh, config: SchemeConfig):
     """Operator and step of ``scheme`` or "dcgm-dirichlet", rotation field."""
     rot = rotation_field()
@@ -221,13 +235,13 @@ def _report(scheme: str, N: int, mesh: TriMesh, config: SchemeConfig,
 
 
 def _turn(N: int, scheme: str, params: BellParams, initial, exact,
-          boundary=None) -> RunReport:
-    """One turn of ``scheme`` on the disk with ``N`` boundary vertices from
-    the interpolant of ``initial(x, y)``, measured against ``exact(x, y)``;
+          boundary=None, mesh: TriMesh | None = None) -> RunReport:
+    """One turn of ``scheme`` on the disk ``mesh`` with ``N`` boundary vertices
+    from the interpolant of ``initial(x, y)``, measured against ``exact(x, y)``;
     ``boundary(x, t)`` gives a Dirichlet step its boundary values."""
     n_steps = _n_steps(params, N)
     config = _config(params, n_steps)
-    mesh = build_disk_mesh(N)
+    mesh = _disk(N, mesh)
     u0 = interpolate(mesh, initial)
     rim = None if boundary is None else mesh.vertices[mesh.boundary_vertices]
     at_step = None if rim is None else lambda n: boundary(rim, n * config.dt)
@@ -241,24 +255,28 @@ def _turn(N: int, scheme: str, params: BellParams, initial, exact,
                    exact, wall)
 
 
-def run_one_turn(N: int, scheme: str, params: BellParams | None = None) -> RunReport:
+def run_one_turn(N: int, scheme: str, params: BellParams | None = None, *,
+                 mesh: TriMesh | None = None) -> RunReport:
     """One full rotation of the bell fixed by ``params`` on the disk mesh
-    with ``N`` boundary vertices; ``scheme`` is one of :data:`SCHEMES`."""
+    with ``N`` boundary vertices; ``scheme`` is one of :data:`SCHEMES`.
+    ``mesh`` is that disk mesh when the caller already has it."""
     scheme = scheme.lower()
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     params = params or BellParams()
     return _turn(N, scheme, params, bell_at_time(params, 0.0),
-                 bell_at_time(params, T))
+                 bell_at_time(params, T), mesh=mesh)
 
 
-def exact_report(N: int, params: BellParams | None = None) -> RunReport:
+def exact_report(N: int, params: BellParams | None = None, *,
+                 mesh: TriMesh | None = None) -> RunReport:
     """Table row for the vertex interpolant of the closed-form solution at
-    the final time; its error column is the interpolation floor."""
+    the final time; its error column is the interpolation floor.  ``mesh``
+    is as in :func:`run_one_turn`."""
     params = params or BellParams()
     n_steps = _n_steps(params, N)
     config = _config(params, n_steps)
-    mesh = build_disk_mesh(N)
+    mesh = _disk(N, mesh)
     exact = bell_at_time(params, T)
     u = interpolate(mesh, exact)
     form = stability_form(mesh, config.nu, config.dt)
@@ -296,8 +314,9 @@ def compare_schemes(N: int = 200, params: BellParams | None = None) -> list[RunR
     comparison targets assume (refining the centered step mostly removes its
     temporal smearing and makes that row look better, not worse)."""
     params = params or BellParams()
-    out = [run_one_turn(N, scheme, params) for scheme in SCHEMES]
-    out.append(exact_report(N, params))
+    mesh = build_disk_mesh(N)
+    out = [run_one_turn(N, scheme, params, mesh=mesh) for scheme in SCHEMES]
+    out.append(exact_report(N, params, mesh=mesh))
     return out
 
 

@@ -30,7 +30,7 @@ from .bench import (
 )
 from .fem import write_field_csv
 from .heston import HestonParams, heston_run
-from .mesh import MIN_BOUNDARY, build_disk_mesh, build_rect_mesh, save_mesh
+from .mesh import MIN_BOUNDARY, _real, build_disk_mesh, build_rect_mesh, save_mesh
 
 TABLE_HEADER = "scheme,N,vertices,n_steps,min,max,integral,l2_error"
 
@@ -112,9 +112,13 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _run_params(args: argparse.Namespace) -> BellParams | HestonParams | None:
-    """The parameters the command's flags give its run; mesh has none, and
-    discont, which has no bell flags, keeps the bell's defaults."""
+    """The parameters the command's flags give its run; mesh has none (its
+    rectangle extents are checked here), and discont, which has no bell
+    flags, keeps the bell's defaults."""
     if args.command == "mesh":
+        if args.rect:
+            _real("x_max", args.xmax, positive=True)
+            _real("y_max", args.ymax, positive=True)
         return None
     if args.command == "heston":
         return HestonParams(T=args.T, strike=args.strike, mu=args.mu,

@@ -48,6 +48,8 @@ NAN, INF = float("nan"), float("inf")
     (lambda: BellParams(x0=(0.1, INF)), "x0"),
     (lambda: BellParams(x0=(0.1, 0.2, 0.3)), "x0"),
     (lambda: BellParams(x0=0.35), "x0"),
+    (lambda: BellParams(x0=("a", "b")), "x0"),  # not numbers at all
+    (lambda: BellParams(x0=object()), "x0"),
     (lambda: BellParams(r=INF), "r"),
     (lambda: BellParams(nu=INF), "nu"),
     (lambda: BellParams(solver_tol=-1.0), "solver_tol"),
@@ -176,6 +178,48 @@ def test_compare_schemes_rows():
     # all four schemes run on the same step budget
     assert rows[3].n_steps == rows[0].n_steps
     assert rows[0].l2_err < rows[2].l2_err
+
+
+def test_compare_schemes_builds_one_mesh(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return build_disk_mesh(n)
+
+    monkeypatch.setattr(bench, "build_disk_mesh", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        rows = compare_schemes(40)
+    assert built == [40]
+    assert len({id(r.final.mesh) for r in rows}) == 1
+
+
+def test_compare_rows_equal_separate_runs():
+    # sharing the mesh changes no bit of any row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        rows = compare_schemes(40)
+        alone = [run_one_turn(40, s) for s in SCHEMES] + [exact_report(40)]
+    for a, b in zip(rows, alone):
+        assert a.scheme == b.scheme
+        assert np.array_equal(a.final.coeffs, b.final.coeffs)
+        assert ([d.solver.iterations for d in a.diagnostics]
+                == [d.solver.iterations for d in b.diagnostics])
+        assert np.array_equal(a.mass_history, b.mass_history)
+        assert np.array_equal(a.norm_history, b.norm_history)
+        assert a.l2_err == b.l2_err
+
+
+@pytest.mark.parametrize("mesh", [build_disk_mesh(41), "disk"],
+                         ids=["41 boundary vertices", "no TriMesh"])
+def test_a_wrong_mesh_is_refused_before_any_work(monkeypatch, mesh):
+    monkeypatch.setattr(bench, "_prepare", _refuse)
+    monkeypatch.setattr(bench, "interpolate", _refuse)
+    with pytest.raises(ValueError, match=r"^mesh must be a TriMesh with N = 40"):
+        run_one_turn(40, "dcgm", mesh=mesh)
+    with pytest.raises(ValueError, match=r"^mesh must be a TriMesh with N = 40"):
+        exact_report(40, mesh=mesh)
 
 
 def test_discontinuous_bounds():

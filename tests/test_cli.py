@@ -293,6 +293,8 @@ def test_failed_command_keeps_a_directory_it_did_not_make(tmp_path):
     (["bell", "--solver-tol", "0"], "solver_tol"),
     (["compare", "--r", "-1"], "r"),
     (["heston", "--strike", "0"], "strike"),
+    (["mesh", "--rect", "5", "5", "--xmax", "-1"], "x_max"),
+    (["mesh", "--rect", "5", "5", "--ymax", "inf"], "y_max"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_refused_parameters_are_usage_errors(tmp_path, capsys, args, field):
     # the run's parameters are built while parsing, so a value the library
