@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _outside, locate_point, project_to_domain
+from .mesh import TriMesh, _outside, _real, locate_point, project_to_domain
 from .quadrature import QuadratureRule
 
 # points traced at a time; bounds the (m, 2, 2) Jacobian and its temporaries
@@ -182,50 +182,38 @@ def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
     )
 
 
-def _read_images(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
-                 dt: float, sigma: float, dual: bool, t0: int, t1: int,
-                 projected: dict):
-    """Trace the quadrature nodes of triangles t0 .. t1 - 1 both ways, put
-    the flags of their images into ``projected``, and locate the images the
-    scheme reads, outside ones after projection: (triangles, barycentric)."""
+def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
+                     dt: float, sigma: float, dual: bool, t0: int, t1: int):
+    """The transport of the quadrature nodes of triangles t0 .. t1 - 1 and
+    the flags of their forward and backward images.  Both directions are
+    traced; the one read is located, its outside images after projection,
+    and the images are freed before the product is formed."""
     nq = len(rule)
-    points = slice(t0 * nq, t1 * nq)
     src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
     fwd, bwd = _trace(field, src, dt, sigma, (+1, -1))
     if not (np.isfinite(fwd).all() and np.isfinite(bwd).all()):
         raise ValueError("the velocity field gives an image that is not finite")
-    read, images, other = ("fwd", fwd, bwd) if dual else ("bwd", bwd, fwd)
-    projected["bwd" if dual else "fwd"][points] = _outside(mesh, other)
+    images, other = (fwd, bwd) if dual else (bwd, fwd)
+    unread = _outside(mesh, other)
     tri, bary = locate_point(mesh, images)
     outside = tri < 0
-    projected[read][points] = outside
     if outside.any():
-        tri2, bary2 = locate_point(mesh, project_to_domain(mesh, images[outside]))
-        if np.any(tri2 < 0):
+        tri[outside], bary[outside] = locate_point(
+            mesh, project_to_domain(mesh, images[outside]))
+        if np.any(tri < 0):
             raise RuntimeError("projected characteristic endpoint not locatable")
-        tri[outside] = tri2
-        bary[outside] = bary2
-    return tri, bary
-
-
-def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
-                     dt: float, sigma: float, dual: bool, t0: int, t1: int,
-                     projected: dict) -> sp.csr_matrix:
-    """The transport of the quadrature nodes of triangles t0 .. t1 - 1; the
-    flags of their images go into ``projected``.  The images are freed
-    before the product is formed."""
-    nq = len(rule)
-    image = _read_images(mesh, field, rule, dt, sigma, dual, t0, t1, projected)
+    del src, fwd, bwd, images, other
     src = (np.repeat(np.arange(t0, t1, dtype=np.int64), nq),
            np.tile(rule.points, (t1 - t0, 1)))
     # P_fwd^T W P_src for the dual scheme, P_src^T W P_bwd for the primal;
     # the node weights go into the transposed factor's data, so the block's
     # transport is one sparse product
-    left, right = (image, src) if dual else (src, image)
+    left, right = ((tri, bary), src) if dual else (src, (tri, bary))
     w = (mesh.areas[t0:t1, None] * rule.weights[None, :]).reshape(-1, 1)
     np.multiply(left[1], w, out=left[1])
-    return (_interpolation_matrix(mesh, *left).T
-            @ _interpolation_matrix(mesh, *right))
+    block = (_interpolation_matrix(mesh, *left).T
+             @ _interpolation_matrix(mesh, *right))
+    return (block, outside, unread) if dual else (block, unread, outside)
 
 
 def build_traced_points(
@@ -249,18 +237,17 @@ def build_traced_points(
     built.  Each point is located on its own, so the blocks change only the
     order in which the transport is summed.
     """
-    nq = len(rule)
-    nt = mesh.nt
-    projected = {side: np.empty(nt * nq, dtype=bool) for side in ("fwd", "bwd")}
+    _real("dt", dt, positive=True)
+    _real("sigma", sigma)
+    nq, nt = len(rule), mesh.nt
+    fwd, bwd = np.empty(nt * nq, dtype=bool), np.empty(nt * nq, dtype=bool)
     per_block = max(1, _BUILD_BLOCK // nq)
     transport = sp.csr_matrix((mesh.nv, mesh.nv))
     for t0 in range(0, nt, per_block):
-        transport = transport + _transport_block(
-            mesh, field, rule, dt, sigma, dual, t0, min(t0 + per_block, nt),
-            projected)
-    return TracedPoints(
-        n_points=nt * nq,
-        fwd_projected=projected["fwd"],
-        bwd_projected=projected["bwd"],
-        transport=transport,
-    )
+        t1 = min(t0 + per_block, nt)
+        block, fwd[t0 * nq:t1 * nq], bwd[t0 * nq:t1 * nq] = _transport_block(
+            mesh, field, rule, dt, sigma, dual, t0, t1)
+        transport = transport + block
+        del block  # not kept while the next block is built
+    return TracedPoints(n_points=nt * nq, fwd_projected=fwd,
+                        bwd_projected=bwd, transport=transport)

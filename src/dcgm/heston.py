@@ -90,6 +90,8 @@ class HestonParams:
                 _real(f.name, getattr(self, f.name), f.name in positive)
         if abs(self.rho) > 1.0:
             raise ValueError("rho must lie in [-1, 1]")
+        if not isinstance(self.offdiag_rho, (bool, np.bool_)):
+            raise ValueError(f"offdiag_rho must be a bool, not {self.offdiag_rho!r}")
 
     @property
     def offdiag_coeff(self) -> float:

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import _real
+
 __all__ = ["SolveReport", "SolutionHistory", "cg_solve", "bicgstab_solve"]
 
 # solutions a history holds, by the solver that feeds it; when full it keeps
@@ -316,8 +318,7 @@ def _solve(A: sp.csr_matrix, b, tol: float, x0, sweep,
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ValueError("right-hand side has wrong length")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, not {tol!r}")
+    _real("tol", tol, positive=True)
     max_iter = 10 * n
     norm_b = float(np.linalg.norm(b))
     if not np.isfinite(norm_b):
@@ -434,7 +435,9 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12,
     solutions.  ``precond(r)`` approximates A^-1 r (SPD for CG); it is
     r / diag(A) when not given.  A non-finite right-hand side or start
     residual, or a ``tol`` that is not finite and > 0, raises
-    ``ValueError``.
+    ``ValueError``.  A finite ``tol`` below rounding is no bad input: the
+    solve stops within its budget and reports ``converged=False``, which a
+    step turns into :class:`~dcgm.schemes.StepError`.
     """
     return _solve(A, b, tol, x0, _cg_sweep, history, precond, _CG_WINDOW)
 

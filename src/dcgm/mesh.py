@@ -555,9 +555,10 @@ def _whole(name: str, value, least: int) -> int:
 
 
 def _real(name: str, value, positive: bool = False) -> float:
-    """``value`` as a float when it is a finite real number, > 0 when
-    ``positive``; anything else raises ``ValueError`` naming ``name``."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    """``value`` as a float when it is a finite real number, not a bool,
+    > 0 when ``positive``; else ``ValueError`` naming ``name``."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
         raise ValueError(f"{name} must be finite, not {value!r}")
     if positive and not value > 0.0:
         raise ValueError(f"{name} must be > 0, not {value!r}")

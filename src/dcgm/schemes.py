@@ -100,7 +100,7 @@ class SchemeConfig:
     def __post_init__(self):
         for name in ("nu", "dt", "solver_tol"):
             _real(name, getattr(self, name), positive=True)
-        if self.sigma not in (0, 1):
+        if _real("sigma", self.sigma) not in (0.0, 1.0):
             raise ValueError("sigma must be 0 or 1")
         rule_by_name(self.quadrature)  # fail at construction, not mid-run
 

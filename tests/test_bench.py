@@ -58,6 +58,15 @@ NAN, INF = float("nan"), float("inf")
     (lambda: BellParams(n_steps=2.5), "n_steps"),
     (lambda: BellParams(n_steps=3.0), "n_steps"),
     (lambda: BellParams(n_steps=True), "n_steps"),
+    # a bool is no number, though True == 1 and True in (0, 1)
+    pytest.param(lambda: SchemeConfig(nu=1e-3, dt=1.0, sigma=True), "sigma",
+                 id="config-sigma-True"),
+    pytest.param(lambda: SchemeConfig(nu=1e-3, dt=1.0, sigma=np.False_),
+                 "sigma", id="config-sigma-np.False_"),
+    pytest.param(lambda: SchemeConfig(nu=1e-3, dt=1.0, sigma=1 + 0j), "sigma",
+                 id="config-sigma-complex"),  # 1 + 0j in (0, 1) held too
+    pytest.param(lambda: BellParams(sigma=True), "sigma", id="sigma-True"),
+    pytest.param(lambda: BellParams(r=True), "r", id="r-True"),
 ])
 def test_bad_numbers_fail_at_construction(make, field):
     # a value no run can use is refused when the record is built, naming

@@ -121,6 +121,25 @@ def test_a_velocity_that_is_not_finite_is_refused_before_location(dual,
                             nine_point_rule(), 0.1, dual=dual)
 
 
+@pytest.mark.parametrize("dt, sigma, want", [
+    (math.nan, 1.0, "^dt must be finite"), (math.inf, 1.0, "^dt must be finite"),
+    # a negative step would build the transport of the reversed flow
+    (-0.1, 1.0, "^dt must be > 0"), (0.0, 1.0, "^dt must be > 0"),
+    (0.1, math.nan, "^sigma must be finite"), (0.1, "1", "^sigma must be finite"),
+], ids=["dt-nan", "dt-inf", "dt-negative", "dt-zero", "sigma-nan", "sigma-str"])
+def test_a_bad_step_is_refused_before_tracing(dt, sigma, want, monkeypatch):
+    # a NaN dt was blamed on the velocity field, a negative one accepted
+    def refuse(*a, **k):
+        raise AssertionError("an image was traced or located")
+
+    for name in ("_trace", "_outside", "locate_point", "project_to_domain"):
+        monkeypatch.setattr(characteristics, name, refuse)
+    mesh = build_rect_mesh(6, 5, 1.0, 0.8)
+    with pytest.raises(ValueError, match=want):
+        build_traced_points(mesh, uniform_field(0.3, 0.1), nine_point_rule(),
+                            dt, sigma)
+
+
 def test_traced_points_pure_rotation_small_dt(disk100):
     # infinitesimal step: every forward image is its source, so the dual
     # transport P_src^T W P_src is the mass matrix (the rule is exact for
@@ -211,6 +230,26 @@ def test_located_images_match_locate_project_locate(mesh, fields, dt, leaves,
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])
+def test_small_blocks_build_the_default_build(dual, monkeypatch):
+    # a build of many small blocks against the default build, one block
+    # here: the same flags, and a transport summed in another order
+    mesh, field = build_disk_mesh(60), uniform_field(0.6, 0.45)
+    assert mesh.nt * 9 <= characteristics._BUILD_BLOCK
+    whole = build_traced_points(mesh, field, nine_point_rule(), 0.2, dual=dual)
+    monkeypatch.setattr(characteristics, "_BUILD_BLOCK", 64)
+    tp = build_traced_points(mesh, field, nine_point_rule(), 0.2, dual=dual)
+    assert whole.fwd_projected.any() and whole.bwd_projected.any()
+    np.testing.assert_array_equal(tp.fwd_projected, whole.fwd_projected)
+    np.testing.assert_array_equal(tp.bwd_projected, whole.bwd_projected)
+    got, want = tp.transport.copy(), whole.transport.copy()
+    got.sort_indices()
+    want.sort_indices()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])

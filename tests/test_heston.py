@@ -74,10 +74,14 @@ def test_run_accepts_numpy_integer_sizes():
 
 @pytest.mark.parametrize("name, value", [
     ("strike", "75"), ("T", None), ("x_max", [200.0]), ("rho", "-0.5"),
+    # a bool is no number, and a truthy string is no flag: "no" switched
+    # the off-diagonal coefficient from lam to rho lam
+    ("rho", True), ("offdiag_rho", "no"), ("offdiag_rho", 1),
 ])
 def test_a_parameter_that_is_no_number_names_itself(name, value):
     # refused as a ValueError naming the field, not numpy's TypeError
-    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+    want = "a bool" if name == "offdiag_rho" else "finite"
+    with pytest.raises(ValueError, match=rf"^{name} must be {want}"):
         HestonParams(**{name: value})
 
 
@@ -96,6 +100,7 @@ def test_a_factored_run_makes_one_history_and_never_adds(history_log):
 def test_offdiag_coeff_switch():
     assert HestonParams().offdiag_coeff == pytest.approx(0.2)
     assert HestonParams(offdiag_rho=True).offdiag_coeff == pytest.approx(-0.1)
+    assert HestonParams(offdiag_rho=np.True_).offdiag_coeff == pytest.approx(-0.1)
 
 
 def test_diffusion_at_point():

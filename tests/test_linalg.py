@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcgm import linalg
-from dcgm.fem import assemble_mass, assemble_stiffness
+from dcgm.fem import assemble_mass, assemble_stiffness, stability_form
 from dcgm.heston import assemble_tensor_stiffness
 from dcgm.linalg import (_LEVEL_BLOCK_CAP, SolutionHistory, _level_blocks,
                          _level_order, _LevelBlocks, bicgstab_solve, cg_solve)
@@ -311,13 +311,26 @@ def spd_tridiagonal(n: int) -> sp.csr_matrix:
 
 
 @pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve])
-@pytest.mark.parametrize("tol", [np.inf, 0.0, -1.0, np.nan])
-def test_bad_tolerance_fails_at_once(solve, tol):
+@pytest.mark.parametrize("tol, want", [
+    pytest.param(np.inf, "finite", id="inf"), pytest.param(0.0, "> 0", id="0.0"),
+    pytest.param(-1.0, "> 0", id="-1.0"), pytest.param(np.nan, "finite", id="nan"),
+])
+def test_bad_tolerance_fails_at_once(solve, tol, want):
     # an infinite tol took x = 0 as converged; 0, -1 and NaN ran iterations
     # that no residual could stop
     A = spd_tridiagonal(1000)
-    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+    with pytest.raises(ValueError, match=rf"^tol must be {want}, not"):
         solve(A, np.ones(1000), tol=tol)
+
+
+def test_a_tolerance_below_rounding_is_reported_unconverged():
+    # a finite tol no residual can meet is no bad input: the solve stops
+    # within its budget of 10 n iterations and says it did not converge
+    A = stability_form(build_disk_mesh(40), 1e-3, 0.1)
+    n = A.shape[0]
+    _, report = cg_solve(A, np.ones(n), tol=1e-300)
+    assert not report.converged
+    assert report.iterations <= 10 * n
 
 
 @pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve])
