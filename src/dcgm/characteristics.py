@@ -11,20 +11,22 @@ Both directions keep the same sign on the quadratic term because it is the
 second derivative of the trajectory; for the rigid rotation this makes a
 traced point stay on its circle up to O(dt^4).
 
-:func:`build_traced_points` traces every quadrature node both ways and
-flags the images that left the mesh.  A scheme reads one direction only:
-the dual scheme the forward images, the primal scheme the backward ones.
-That direction's images are located with one walk each, the outside ones
-are projected to the boundary and located again, and the step's transport
-matrix is built from the located images.  The other direction's flags are
-read from the mesh's map of inside and outside grid cells, which walks only
-the images in cells the boundary may cross.  The images are only
-scaffolding for the matrix: the build runs in blocks of whole triangles,
-and what it keeps is the matrix and the two flag arrays.
+:func:`build_traced_points` traces every quadrature node the one way a
+scheme reads: the dual scheme forward, the primal scheme backward.  Those
+images are located with one walk each, the outside ones are projected to
+the boundary and located again, and the step's transport matrix is built
+from the located images.  The images are only scaffolding for the matrix:
+the build runs in blocks of whole triangles, and what it keeps is the
+matrix and the flags of the images that left the mesh.  The other
+direction's flags are computed on demand, the first time they are read:
+its images are traced again block by block and flagged from the mesh's map
+of inside and outside grid cells, which walks only the images in cells the
+boundary may cross.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +39,8 @@ from .quadrature import QuadratureRule
 # points traced at a time; bounds the (m, 2, 2) Jacobian and its temporaries
 _TRACE_BLOCK = 8192
 # quadrature points build_traced_points traces, walks and multiplies at a
-# time, in blocks of whole triangles; bounds its per-point arrays
+# time, and the unread flags trace and flag at a time, in blocks of whole
+# triangles; bounds their per-point arrays
 _BUILD_BLOCK = 32768
 
 __all__ = [
@@ -152,23 +155,63 @@ class TracedPoints:
     """The transport of one step and the flags of the images behind it.
 
     There is one point per (triangle, quadrature node), ``n_points`` in all.
-    Both directions are traced, but only the one read is located;
-    ``*_projected`` flags the images that left the mesh, exactly as
-    :func:`locate_point` would.  ``transport`` is the step's transport
-    matrix, built from the direction the scheme reads: P_fwd^T W P_src for
-    the dual scheme, P_src^T W P_bwd for the primal one.  Row q of P_src
-    holds the barycentric weights of node q in its own triangle, row q of
-    P_fwd or P_bwd those of its image, and W is diagonal with the node
-    weights times the triangle areas.  An image outside the mesh is pulled
-    back by :func:`project_to_domain` and located again first.  Barycentric
-    coordinates are clamped to [0, 1] and renormalized to sum exactly to
-    one, which is what makes the dual transport conserve mass.
+    ``fwd_projected`` and ``bwd_projected`` flag the images that left the
+    mesh, exactly as :func:`locate_point` would.  ``transport`` is the
+    step's transport matrix, built from the direction the scheme reads:
+    P_fwd^T W P_src for the dual scheme, P_src^T W P_bwd for the primal one.
+    Row q of P_src holds the barycentric weights of node q in its own
+    triangle, row q of P_fwd or P_bwd those of its image, and W is diagonal
+    with the node weights times the triangle areas.  An image outside the
+    mesh is pulled back by :func:`project_to_domain` and located again
+    first.  Barycentric coordinates are clamped to [0, 1] and renormalized
+    to sum exactly to one, which is what makes the dual transport conserve
+    mass.
+
+    The build traces only the direction read.  The other direction's flags
+    are computed from the build's arguments the first time they are read.
     """
 
     n_points: int
-    fwd_projected: np.ndarray
-    bwd_projected: np.ndarray
     transport: sp.csr_matrix
+    dual: bool
+    _read: np.ndarray
+    # (mesh, field, rule, dt, sigma) of the build, to flag the unread images
+    _build: tuple = dataclasses.field(repr=False)
+    _unread: np.ndarray | None = None
+
+    @property
+    def fwd_projected(self) -> np.ndarray:
+        return self._read if self.dual else self._unread_flags()
+
+    @property
+    def bwd_projected(self) -> np.ndarray:
+        return self._unread_flags() if self.dual else self._read
+
+    def _unread_flags(self) -> np.ndarray:
+        """The flags of the direction not read: its images are traced again
+        block by block and flagged by the mesh's outside test."""
+        if self._unread is None:
+            mesh, field, rule, dt, sigma = self._build
+            nq = len(rule)
+            flags = np.empty(self.n_points, dtype=bool)
+            for t0, t1 in _blocks(mesh, rule):
+                images = _trace(field, _nodes(mesh, rule, t0, t1), dt, sigma,
+                                (-1 if self.dual else +1,))[0]
+                flags[t0 * nq:t1 * nq] = _outside(mesh, images)
+            self._unread = flags
+        return self._unread
+
+
+def _blocks(mesh: TriMesh, rule: QuadratureRule):
+    """Triangle ranges (t0, t1) of about ``_BUILD_BLOCK`` quadrature points."""
+    per_block = max(1, _BUILD_BLOCK // len(rule))
+    for t0 in range(0, mesh.nt, per_block):
+        yield t0, min(t0 + per_block, mesh.nt)
+
+
+def _nodes(mesh: TriMesh, rule: QuadratureRule, t0: int, t1: int):
+    """The quadrature nodes of triangles t0 .. t1 - 1, triangle by triangle."""
+    return (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
 
 
 def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
@@ -185,16 +228,15 @@ def _interpolation_matrix(mesh: TriMesh, tri: np.ndarray,
 def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
                      dt: float, sigma: float, dual: bool, t0: int, t1: int):
     """The transport of the quadrature nodes of triangles t0 .. t1 - 1 and
-    the flags of their forward and backward images.  Both directions are
-    traced; the one read is located, its outside images after projection,
-    and the images are freed before the product is formed."""
+    the flags of the images it reads: forward ones for the dual scheme,
+    backward ones for the primal.  Only that direction is traced; its images
+    are located, the outside ones after projection, and freed before the
+    product is formed."""
     nq = len(rule)
-    src = (rule.points @ mesh._tri_xy[t0:t1]).reshape(-1, 2)
-    fwd, bwd = _trace(field, src, dt, sigma, (+1, -1))
-    if not (np.isfinite(fwd).all() and np.isfinite(bwd).all()):
+    images = _trace(field, _nodes(mesh, rule, t0, t1), dt, sigma,
+                    (+1 if dual else -1,))[0]
+    if not np.isfinite(images).all():
         raise ValueError("the velocity field gives an image that is not finite")
-    images, other = (fwd, bwd) if dual else (bwd, fwd)
-    unread = _outside(mesh, other)
     tri, bary = locate_point(mesh, images)
     outside = tri < 0
     if outside.any():
@@ -202,7 +244,7 @@ def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
             mesh, project_to_domain(mesh, images[outside]))
         if np.any(tri < 0):
             raise RuntimeError("projected characteristic endpoint not locatable")
-    del src, fwd, bwd, images, other
+    del images
     src = (np.repeat(np.arange(t0, t1, dtype=np.int64), nq),
            np.tile(rule.points, (t1 - t0, 1)))
     # P_fwd^T W P_src for the dual scheme, P_src^T W P_bwd for the primal;
@@ -213,7 +255,7 @@ def _transport_block(mesh: TriMesh, field: VelocityField, rule: QuadratureRule,
     np.multiply(left[1], w, out=left[1])
     block = (_interpolation_matrix(mesh, *left).T
              @ _interpolation_matrix(mesh, *right))
-    return (block, outside, unread) if dual else (block, unread, outside)
+    return block, outside
 
 
 def build_traced_points(
@@ -224,30 +266,29 @@ def build_traced_points(
     sigma: float = 1.0,
     dual: bool = True,
 ) -> TracedPoints:
-    """Trace every quadrature node of every triangle one step both ways,
-    flag the images outside the mesh, and build the transport from the
-    forward images (``dual``) or the backward ones.
+    """Trace every quadrature node of every triangle one step forward
+    (``dual``) or backward, flag the images outside the mesh, and build the
+    transport from them.
 
-    Each image read is walked to its triangle from the mesh's bucket-grid
-    cell of the image, so the cost does not grow with the length of the
-    characteristic; only its outside images are projected.  The flags of the
-    direction not read come from the mesh's outside test.  The work runs in
-    blocks of whole triangles, about ``_BUILD_BLOCK`` points each: a block's
-    transport is one sparse product, added to a running sum as soon as it is
-    built.  Each point is located on its own, so the blocks change only the
-    order in which the transport is summed.
+    Each image is walked to its triangle from the mesh's bucket-grid cell of
+    the image, so the cost does not grow with the length of the
+    characteristic; only the outside images are projected.  The other
+    direction is neither traced nor flagged here: its flags are computed
+    the first time they are read.  The work runs in blocks of whole
+    triangles, about ``_BUILD_BLOCK`` points each: a block's transport is
+    one sparse product, added to a running sum as soon as it is built.  Each
+    point is located on its own, so the blocks change only the order in
+    which the transport is summed.
     """
     _real("dt", dt, positive=True)
     _real("sigma", sigma)
-    nq, nt = len(rule), mesh.nt
-    fwd, bwd = np.empty(nt * nq, dtype=bool), np.empty(nt * nq, dtype=bool)
-    per_block = max(1, _BUILD_BLOCK // nq)
+    nq = len(rule)
+    read = np.empty(mesh.nt * nq, dtype=bool)
     transport = sp.csr_matrix((mesh.nv, mesh.nv))
-    for t0 in range(0, nt, per_block):
-        t1 = min(t0 + per_block, nt)
-        block, fwd[t0 * nq:t1 * nq], bwd[t0 * nq:t1 * nq] = _transport_block(
+    for t0, t1 in _blocks(mesh, rule):
+        block, read[t0 * nq:t1 * nq] = _transport_block(
             mesh, field, rule, dt, sigma, dual, t0, t1)
         transport = transport + block
         del block  # not kept while the next block is built
-    return TracedPoints(n_points=nt * nq, fwd_projected=fwd,
-                        bwd_projected=bwd, transport=transport)
+    return TracedPoints(n_points=mesh.nt * nq, transport=transport, dual=dual,
+                        _read=read, _build=(mesh, field, rule, dt, sigma))

@@ -148,7 +148,9 @@ class TriMesh:
                    else "not a free edge with the domain on its left")
             raise ValueError("boundary edge ({}, {}) is {}".format(
                 *self.boundary_edges[i], why))
-        self._cell_tri = self._build_cell_table(tri_xy.mean(axis=1))
+        # the corners summed, which gives the bits of tri_xy.mean(axis=1)
+        self._cell_tri = self._build_cell_table(
+            (tri_xy[:, 0] + tri_xy[:, 1] + tri_xy[:, 2]) / 3.0)
         # triangles around each vertex: _vertex_tris[_vertex_start[v]:
         # _vertex_start[v + 1]], for the location tie-break
         flat = self.triangles.ravel()
@@ -162,7 +164,9 @@ class TriMesh:
         self.is_boundary_vertex = np.zeros(self.nv, dtype=bool)
         self.is_boundary_vertex[self.boundary_edges.ravel()] = True
         self.convex = self._boundary_is_convex()
-        self._cell_side = self._build_cell_sides()
+        self._cell_side, under = self._build_cell_sides()
+        # a cell whose centre lies in the mesh starts its walks under it
+        self._cell_tri = np.where(under >= 0, under, self._cell_tri)
         self._h_max = None
 
     # ------------------------------------------------------------------
@@ -242,12 +246,15 @@ class TriMesh:
 
     def _build_cell_table(self, centroids: np.ndarray) -> np.ndarray:
         """Start triangle of the walk for each cell of a bucket grid over the
-        vertex bounding box, about two centroids per cell.
+        vertex bounding box, about two centroids per cell, from the
+        centroids alone.
 
         A cell holding centroids stores the highest-index triangle among
-        them.  An empty cell takes the triangle of a nearest stored cell,
-        grown one cell at a time from the stored ones (left, right, below,
-        above), so every walk starts close to its point.
+        them.  An empty cell takes the triangle of the nearest stored cell
+        of its row, the left one on a tie; in a row with none, it takes that
+        of the nearest row of its column that has one, the lower one on a
+        tie.  This table starts the walks to the cell centres; it stays the
+        start of the cells whose centre is outside the mesh.
         """
         g = max(1, math.isqrt(self.nt // _CENTROIDS_PER_CELL))
         lo = self.vertices.min(axis=0)
@@ -255,21 +262,19 @@ class TriMesh:
         cells = np.full(g * g, -1, dtype=np.int64)
         np.maximum.at(cells, self._cell_of(centroids[:, 0], centroids[:, 1]),
                       np.arange(self.nt))
-        cells = cells.reshape(g, g)  # row iy, column ix
-        while (cells < 0).any():
-            old = np.pad(cells, 1, constant_values=-1)
-            for near in (old[1:-1, :-2], old[1:-1, 2:], old[:-2, 1:-1], old[2:, 1:-1]):
-                cells = np.where((cells < 0) & (near >= 0), near, cells)
-        return cells.ravel()
+        cells = _fill_rows(cells.reshape(g, g))  # row iy, column ix
+        return _fill_rows(cells.T).T.ravel()
 
-    def _build_cell_sides(self) -> np.ndarray:
+    def _build_cell_sides(self):
         """Side of the domain that each cell of the bucket grid lies on: 1
-        inside, -1 outside, 0 where the boundary may cross the cell.
+        inside, -1 outside, 0 where the boundary may cross the cell; and the
+        triangle under each cell's centre, -1 when the centre is outside.
 
         The boundary is the free edges, those with no triangle across them.
         A cell is 0 when the bounding box of a free edge, padded by
         ``_CELL_PAD`` cells, touches it.  Any other cell lies wholly on one
-        side of the boundary, the side of its centre, which one walk finds.
+        side of the boundary, the side of its centre.  Every centre is
+        walked once, from the table of centroids.
         """
         lo, scale, g = self._grid
         a, b = self.vertices[self._free_edges.T]
@@ -283,12 +288,15 @@ class TriMesh:
         slot = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
         ix = first[owner, 0] + slot % count[owner, 0]
         iy = first[owner, 1] + slot // count[owner, 0]
-        side = np.ones(g * g, dtype=np.int8)
+        cells = np.arange(g * g)
+        centres = lo + (np.column_stack([cells % g, cells // g]) + 0.5) / scale
+        under = np.empty(g * g, dtype=np.int64)
+        for start in range(0, g * g, _LOCATE_BLOCK):
+            block = slice(start, start + _LOCATE_BLOCK)
+            under[block] = _walk_block(self, centres[block])[0]
+        side = np.where(under >= 0, 1, -1).astype(np.int8)
         side[iy * g + ix] = 0
-        rest = np.flatnonzero(side)
-        centres = lo + (np.column_stack([rest % g, rest // g]) + 0.5) / scale
-        side[rest[~_found(self, centres)]] = -1
-        return side
+        return side, under
 
     def _build_neighbors(self) -> np.ndarray:
         """neighbors[k, j] = triangle across the edge opposite local vertex j.
@@ -327,6 +335,20 @@ class TriMesh:
         if np.any(cross < -slack) or np.any((cross <= slack) & (dot < 0.0)):
             return False
         return abs(float(np.arctan2(cross, dot).sum()) - 2.0 * math.pi) < math.pi
+
+
+def _fill_rows(cells: np.ndarray) -> np.ndarray:
+    """``cells`` (rows, g) with each -1 replaced by the nearest entry >= 0 of
+    its row, the left one on a tie; a row with none stays -1."""
+    g = cells.shape[1]
+    col = np.arange(g)
+    stored = cells >= 0
+    left = np.maximum.accumulate(np.where(stored, col, -1), axis=1)
+    right = np.minimum.accumulate(np.where(stored, col, g)[:, ::-1], axis=1)[:, ::-1]
+    take = np.where((left >= 0) & ((right == g) | (col - left <= right - col)),
+                    left, right)
+    filled = np.take_along_axis(cells, np.minimum(take, g - 1), axis=1)
+    return np.where(stored.any(axis=1)[:, None], filled, -1)
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +403,9 @@ def locate_point(mesh: TriMesh, point, hint=None):
     For one point (shape (2,)) returns ``(triangle_index, barycentric)`` or
     ``None`` when the point lies outside the mesh.  For a batch (m, 2)
     returns ``(tris, bary)`` with ``tris[i] = -1`` for outside points.
-    The walk starts at the triangle stored for the point's cell of the
-    mesh's bucket grid, a triangle or two away.  Coordinates are clamped to
+    The walk starts under the centre of the point's cell of the mesh's
+    bucket grid, or, when that centre is outside the mesh, at a triangle
+    whose centroid lies in or near the cell.  Coordinates are clamped to
     the closed triangle and sum to one.  The result does not depend on where
     the walk starts: a point within tolerance of an edge is reported in the
     lowest-index triangle that contains it.  ``hint`` is accepted for
@@ -403,10 +426,11 @@ def locate_point(mesh: TriMesh, point, hint=None):
 
 
 # Kept apart from locate_point(...)[0] >= 0, which gives the same flags, for
-# time: on the 60x60 Heston rectangle all 3 249 cell centres that
-# _build_cell_sides walks lie on an edge and take the lowest-index
-# tie-break, 7.1 against 0.36 ms in a 3.9 ms build; on the N = 400 disk, 83
-# of 12 217 do, 2.5 against 2.0 ms (best of 7, shared 2-vCPU x86_64 VM).
+# time: it skips the lowest-index tie-break of points on an edge.  _outside,
+# its one caller, walks 3 765 backward images of the 60x60 Heston rectangle,
+# 55 of them on an edge: 0.30 against 0.48 ms in a 1.3 ms _outside; and 6 738
+# of the N = 400 disk bell, none on an edge: 0.72 against 0.80 ms in 9.0 ms
+# (best of 61, shared 2-vCPU x86_64 VM).
 def _found(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
     """``locate_point(mesh, pts)[0] >= 0``, without the tie-break."""
     found = np.empty(pts.shape[0], dtype=bool)

@@ -171,9 +171,10 @@ class DcgmOperator(LinearStep):
     transport: the conservative forward-image scatter P_fwd^T W P_src when
     ``dual`` is set, the primal backward-image gather P_src^T W P_bwd
     otherwise.  ``traced`` is the record the transport came from: the point
-    count, the flags of the images that left the mesh and, as
-    ``traced.transport``, ``rhs_mat`` itself; no per-point array outlives
-    the prepare.
+    count, the flags of the images read that left the mesh and, as
+    ``traced.transport``, ``rhs_mat`` itself; no other per-point array
+    outlives the prepare.  The other direction's flags are computed when
+    first read.
     """
 
     traced: TracedPoints

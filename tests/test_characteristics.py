@@ -252,22 +252,80 @@ def test_small_blocks_build_the_default_build(dual, monkeypatch):
     np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=0.0)
 
 
+ONE_WAY_MESHES = {"disk": build_disk_mesh(30), "l-shape": l_shaped_mesh(9),
+                  "rect": build_rect_mesh(7, 6, 1.0, 0.8)}
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])
+@pytest.mark.parametrize("name", sorted(ONE_WAY_MESHES))
+def test_the_unread_direction_is_traced_and_flagged_only_when_read(name, dual,
+                                                                   monkeypatch):
+    # a translation takes images out both ways; the build traces only the
+    # direction it reads, and the other one is traced and flagged by one
+    # pass over the blocks the first time its flags are read
+    mesh, field, rule, dt = ONE_WAY_MESHES[name], uniform_field(0.6, 0.45), \
+        nine_point_rule(), 0.2
+    src = (rule.points @ mesh._tri_xy).reshape(-1, 2)
+    unread = (trace_backward if dual else trace_forward)(field, src, dt)
+    want = locate_point(mesh, unread)[0] < 0
+    assert want.any()
+    monkeypatch.setattr(characteristics, "_BUILD_BLOCK", 64)
+    blocks = len(list(characteristics._blocks(mesh, rule)))
+    assert blocks > 2
+    traced, flagged = [], []
+    trace, outside = characteristics._trace, characteristics._outside
+
+    def counted_trace(field, x, dt, sigma, directions):
+        traced.append(tuple(directions))
+        return trace(field, x, dt, sigma, directions)
+
+    def counted_outside(mesh, pts):
+        flagged.append(len(pts))
+        return outside(mesh, pts)
+
+    monkeypatch.setattr(characteristics, "_trace", counted_trace)
+    monkeypatch.setattr(characteristics, "_outside", counted_outside)
+    tp = build_traced_points(mesh, field, rule, dt, dual=dual)
+    one, other = ((+1,), (-1,)) if dual else ((-1,), (+1,))
+    assert traced == [one] * blocks and flagged == []
+    # the flags of the direction read are the build's own
+    read = tp.fwd_projected if dual else tp.bwd_projected
+    assert len(traced) == blocks and flagged == []
+    flags = tp.bwd_projected if dual else tp.fwd_projected
+    assert traced == [one] * blocks + [other] * blocks
+    assert len(flagged) == blocks and sum(flagged) == tp.n_points
+    assert flags.dtype == bool and read.shape == flags.shape == want.shape
+    np.testing.assert_array_equal(flags, want)
+    # a second read does no work
+    assert (tp.bwd_projected if dual else tp.fwd_projected) is flags
+    assert len(traced) == 2 * blocks and len(flagged) == blocks
+
+
 @pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])
 def test_unread_images_are_walked_only_near_the_boundary(dual, monkeypatch):
-    # the flags of the direction not read come from the cell map: only its
-    # images in cells the boundary may cross reach the walk
+    # the build walks only the images it reads; the flags of the other
+    # direction come from the cell map when first read, and only its images
+    # in cells the boundary may cross reach the walk
     mesh = build_disk_mesh(60)
     field, rule, dt = rotation_field(), nine_point_rule(), 2.0 * math.pi / 33
     walked = []
     walk = mesh_module._walk_block
 
     def counted(mesh, pts):
-        walked.append(len(pts))
+        walked.append(np.array(pts))
         return walk(mesh, pts)
 
     monkeypatch.setattr(mesh_module, "_walk_block", counted)
     tp = build_traced_points(mesh, field, rule, dt, dual=dual)
     n = tp.n_points
+    # the read images are walked once, and the outside ones at most twice
+    # more: in the projection's own outside test and after it
+    outside = int((tp.fwd_projected if dual else tp.bwd_projected).sum())
+    assert 0 < outside and n + 2 * outside < 2 * n
+    assert sum(len(p) for p in walked) <= n + 2 * outside
+    walked.clear()
+    flags = tp.bwd_projected if dual else tp.fwd_projected
+    assert flags.any()
     src = (rule.points @ mesh._tri_xy).reshape(-1, 2)
     unread = (trace_backward if dual else trace_forward)(field, src, dt)
     # the cell of each unread image; an image off the grid counts as near
@@ -276,12 +334,11 @@ def test_unread_images_are_walked_only_near_the_boundary(dual, monkeypatch):
     on_grid = np.all((cell >= 0) & (cell < g), axis=1)
     near = ~on_grid
     near[on_grid] = mesh._cell_side[cell[on_grid, 1] * g + cell[on_grid, 0]] == 0
-    # the read images are walked once, and the outside ones at most twice
-    # more: in the projection's own outside test and after it
-    outside = int((tp.fwd_projected if dual else tp.bwd_projected).sum())
-    bound = n + 2 * outside + int(near.sum())
-    assert 0 < outside and bound < 2 * n
-    assert sum(walked) <= bound
+    assert 0 < near.sum() < n // 4
+    points = np.concatenate(walked)
+    assert 0 < len(points) <= near.sum()
+    assert np.all(mesh._cell_side[mesh._cell_of(points[:, 0], points[:, 1])] == 0)
+    assert set(map(tuple, points)) <= set(map(tuple, unread[near]))
 
 
 @pytest.mark.parametrize("dual", [True, False], ids=["dual", "primal"])

@@ -531,6 +531,8 @@ def edge_dictionary_neighbors(mesh):
               st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
     st.builds(build_disk_mesh, st.integers(8, 120)),
     st.builds(l_shaped_mesh)))
+# a grid row that holds no centroid
+@example(mesh=build_rect_mesh(12, 2, 1.0, 1.0))
 def test_neighbor_and_grid_tables(mesh):
     assert np.array_equal(mesh.neighbors, edge_dictionary_neighbors(mesh))
 
@@ -539,28 +541,41 @@ def test_neighbor_and_grid_tables(mesh):
     assert cells.shape == (g * g,)
     # no cell is empty
     assert np.all((cells >= 0) & (cells < mesh.nt))
+    # a cell whose centre lies in the mesh starts at a triangle containing it
+    index = np.arange(g * g)
+    centres = lo + (np.column_stack([index % g, index // g]) + 0.5) / scale
+    inside = locate_point(mesh, centres)[0] >= 0
+    bary = mesh.barycentric(cells[inside], centres[inside])
+    assert np.all(bary >= -mesh_module._BARY_TOL)
+    # every other cell takes the table of centroids: a cell holding centroids
+    # stores the highest-index triangle among them
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     ix, iy = np.minimum(np.floor((centroids - lo) * scale), g - 1).astype(int).T
-    home = iy * g + ix
-    want = np.full(g * g, -1)
-    for k, cell in enumerate(home):
-        want[cell] = k
-    stored = np.flatnonzero(want >= 0)
-    # a cell holding centroids stores the highest-index triangle among them
-    assert np.array_equal(cells[stored], want[stored])
-    # whose centroid lies in that cell
+    table = np.full((g, g), -1)
+    for k, (x, y) in enumerate(zip(ix, iy)):
+        table[y, x] = k
+    # an empty cell takes the nearest stored cell of its row, the left one on
+    # a tie; in a row with none, the cell of the nearest row that has one in
+    # its column, the lower row on a tie
+    rows = table.copy()
+    for y in range(g):
+        stored = np.flatnonzero(table[y] >= 0).tolist()
+        for x in np.flatnonzero(table[y] < 0).tolist():
+            if stored:
+                rows[y, x] = table[y, min(stored, key=lambda s: (abs(s - x), s))]
+    full = np.flatnonzero((table >= 0).any(axis=1)).tolist()
+    want = rows.copy()
+    for y in np.flatnonzero(~(table >= 0).any(axis=1)).tolist():
+        want[y] = rows[min(full, key=lambda r: (abs(r - y), r))]
+    want = want.ravel()
+    assert np.array_equal(mesh._build_cell_table(centroids), want)
+    assert np.array_equal(cells[~inside], want[~inside])
+    # a stored triangle's centroid lies in its cell
+    stored = np.flatnonzero(table.ravel() >= 0)
     width = 1.0 / scale
     low = lo + np.column_stack([stored % g, stored // g]) * width
-    c = centroids[cells[stored]]
+    c = centroids[want[stored]]
     assert np.all((c >= low - 1e-9 * width) & (c <= low + (1.0 + 1e-9) * width))
-    # an empty cell takes the triangle of a stored cell nearest to it, counting
-    # steps between neighbouring cells
-    empty = np.flatnonzero(want < 0)
-    steps = (np.abs(empty[:, None] % g - stored % g)
-             + np.abs(empty[:, None] // g - stored // g))
-    source = home[cells[empty]]
-    taken = np.abs(empty % g - source % g) + np.abs(empty // g - source // g)
-    assert np.array_equal(taken, steps.min(axis=1))
 
 
 def unlabelled(mesh: TriMesh) -> TriMesh:

@@ -362,8 +362,9 @@ def test_prepare_projects_only_the_images_it_reads(monkeypatch):
 
 def test_prepare_keeps_no_per_point_array():
     # the traced images are scaffolding for the transport: the build works
-    # through them in blocks, and the operator keeps only their two flag
-    # arrays
+    # through them in blocks, and the operator keeps only the flags of the
+    # images it reads; the other direction's flags are computed when first
+    # read, and kept from then on
     mesh = build_disk_mesh(400)
     config = SchemeConfig(nu=1e-3, dt=2.0 * math.pi / 133)
     tracemalloc.start()
@@ -373,11 +374,21 @@ def test_prepare_keeps_no_per_point_array():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
-    assert op.rhs_mat is op.traced.transport
-    arrays = {name: value for name, value in vars(op.traced).items()
-              if isinstance(value, np.ndarray)}
-    assert sorted(arrays) == ["bwd_projected", "fwd_projected"]
-    assert all(a.dtype == bool for a in arrays.values())
+    tp = op.traced
+    assert op.rhs_mat is tp.transport
+
+    def held():
+        return [value for value in vars(tp).values()
+                if isinstance(value, np.ndarray)]
+
+    arrays = held()
+    assert len(arrays) == 1 and arrays[0] is tp.fwd_projected
+    assert arrays[0].dtype == bool and arrays[0].shape == (tp.n_points,)
+    assert len(held()) == 1
+    bwd = tp.bwd_projected
+    arrays = held()
+    assert len(arrays) == 2 and any(a is bwd for a in arrays)
+    assert all(a.dtype == bool and a.shape == (tp.n_points,) for a in arrays)
 
 
 def same_csr(a, b):
